@@ -59,6 +59,12 @@ use crate::Interaction;
 /// [`TopologyError::PairingFailed`]. The loop is hard-bounded so that
 /// infeasible `(n, d)` parameterizations (a 1-regular graph on more than
 /// two vertices can never be connected) terminate with a typed error.
+///
+/// A pairing is simple with probability ≈ e^(−(d²−1)/4) for large `n`:
+/// ≈ 1/42 at `d = 4`, so 400 attempts fail with probability ≈ 10⁻⁴, but
+/// ≈ 1/400 at `d = 5` and ≈ 1/6300 at `d = 6`. Measured at `n = 1000`
+/// over seeds 0..400, `d = 5` fails for 166 seeds and `d = 6` for 373;
+/// `d ≤ 4` is the reliable range.
 pub const RANDOM_REGULAR_ATTEMPTS: usize = 400;
 
 /// Largest vertex count for which [`Topology::conductance`] enumerates
@@ -135,10 +141,11 @@ pub enum TopologyError {
     /// The configuration-model stub pairing of
     /// [`Topology::random_regular`] exhausted its bounded retry budget
     /// without producing a simple *connected* draw. Raised for
-    /// parameterizations where such draws are rare (very dense `d`) or
-    /// impossible (`d = 1` on `n > 2` vertices is a perfect matching,
-    /// never connected) — the retry loop is hard-bounded, so infeasible
-    /// inputs terminate with this error instead of spinning.
+    /// parameterizations where such draws are rare (`d ≥ 5`, see
+    /// [`RANDOM_REGULAR_ATTEMPTS`]) or impossible (`d = 1` on `n > 2`
+    /// vertices is a perfect matching, never connected) — the retry loop
+    /// is hard-bounded, so infeasible inputs terminate with this error
+    /// instead of spinning.
     PairingFailed {
         /// Attempts made before giving up.
         attempts: usize,
@@ -360,16 +367,18 @@ impl Topology {
     /// rejection of self-loops, duplicate edges and disconnected draws.
     /// Deterministic in `seed`.
     ///
+    /// Each attempt is simple with probability ≈ e^(−(d²−1)/4), so
+    /// `d ≤ 4` is the reliable range (see [`RANDOM_REGULAR_ATTEMPTS`]).
+    ///
     /// # Errors
     ///
     /// [`TopologyError::InvalidDegree`] unless `0 < d < n` and `n·d` is
     /// even; [`TopologyError::PairingFailed`] when the hard-bounded retry
     /// loop ([`RANDOM_REGULAR_ATTEMPTS`] draws) finds no simple connected
-    /// graph — which covers both unlucky dense parameterizations and
-    /// genuinely infeasible ones like `d = 1` on `n > 2` vertices (every
-    /// 1-regular graph is a perfect matching, hence disconnected), so the
-    /// constructor always terminates with a typed error instead of
-    /// looping.
+    /// graph. That happens for many seeds at `d ≥ 5`, where simple
+    /// pairings are rare, and for every seed when none exists, as for
+    /// `d = 1` on `n > 2` vertices (every 1-regular graph is a perfect
+    /// matching, hence disconnected).
     pub fn random_regular(n: usize, d: usize, seed: u64) -> Result<Self, TopologyError> {
         if n < 2 {
             return Err(TopologyError::TooSmall { len: n, min: 2 });
@@ -378,33 +387,38 @@ impl Topology {
             return Err(TopologyError::InvalidDegree { len: n, degree: d });
         }
         let mut rng = SmallRng::seed_from_u64(seed);
-        let class = TopologyClass::RandomRegular { degree: d, seed };
+        // The per-attempt scratch is allocated before the graph's arrays:
+        // freed together, it leaves one hole that the next call's scratch
+        // fits, instead of fragments that keep the heap resident.
+        let mut stubs = vec![0u32; n * d];
+        let mut fill = vec![0u32; n];
+        // A regular graph's CSR is fixed-stride: vertex v owns arcs
+        // v·d..(v + 1)·d, and the unshuffled stub list is the tail array.
+        let offsets: Vec<usize> = (0..=n).map(|v| v * d).collect();
+        let mut tails = Vec::with_capacity(n * d);
+        for v in 0..n as u32 {
+            tails.extend(std::iter::repeat_n(v, d));
+        }
+        let mut heads = vec![0u32; n * d];
         for _ in 0..RANDOM_REGULAR_ATTEMPTS {
-            let mut stubs: Vec<u32> = (0..n as u32)
-                .flat_map(|v| std::iter::repeat_n(v, d))
-                .collect();
-            // Fisher–Yates over the stub multiset.
-            for i in (1..stubs.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                stubs.swap(i, j);
-            }
-            let mut seen = HashSet::with_capacity(n * d / 2);
-            let mut edges = Vec::with_capacity(n * d / 2);
-            let simple = stubs.chunks_exact(2).all(|pair| {
-                let (a, b) = (pair[0] as usize, pair[1] as usize);
-                a != b && seen.insert((a.min(b), a.max(b))) && {
-                    edges.push((a, b));
-                    true
-                }
-            });
-            if !simple {
+            stubs.copy_from_slice(&tails);
+            fill.fill(0);
+            if !pair_stubs(&mut rng, &mut stubs, &mut heads, &mut fill, d)
+                || reachable_from_zero(&offsets, &heads) != n
+            {
                 continue;
             }
-            match Self::from_edges_classified(n, edges, class.clone()) {
-                Ok(t) => return Ok(t),
-                Err(TopologyError::Disconnected { .. }) => continue,
-                Err(e) => return Err(e),
+            for nbrs in heads.chunks_exact_mut(d) {
+                nbrs.sort_unstable();
             }
+            return Ok(Topology {
+                class: TopologyClass::RandomRegular { degree: d, seed },
+                repr: Repr::Csr {
+                    offsets,
+                    heads,
+                    tails,
+                },
+            });
         }
         Err(TopologyError::PairingFailed {
             attempts: RANDOM_REGULAR_ATTEMPTS,
@@ -525,19 +539,18 @@ impl Topology {
             heads[offsets[v]..offsets[v + 1]].sort_unstable();
             tails[offsets[v]..offsets[v + 1]].fill(v as u32);
         }
-        let topology = Topology {
+        let reachable = reachable_from_zero(&offsets, &heads);
+        if reachable != n {
+            return Err(TopologyError::Disconnected { reachable, len: n });
+        }
+        Ok(Topology {
             class,
             repr: Repr::Csr {
                 offsets,
                 heads,
                 tails,
             },
-        };
-        let reachable = topology.reachable_from_zero();
-        if reachable != n {
-            return Err(TopologyError::Disconnected { reachable, len: n });
-        }
-        Ok(topology)
+        })
     }
 
     /// Number of agents (vertices).
@@ -1012,32 +1025,6 @@ impl Topology {
         side.sort_unstable();
         (best, side)
     }
-
-    /// Vertices reachable from vertex 0 (BFS over the CSR arrays; the
-    /// complete graph is trivially connected).
-    fn reachable_from_zero(&self) -> usize {
-        match &self.repr {
-            Repr::Complete { n } => *n,
-            Repr::Csr { offsets, heads, .. } => {
-                let n = offsets.len() - 1;
-                let mut seen = vec![false; n];
-                let mut queue = vec![0usize];
-                seen[0] = true;
-                let mut count = 1;
-                while let Some(v) = queue.pop() {
-                    for &w in &heads[offsets[v]..offsets[v + 1]] {
-                        let w = w as usize;
-                        if !seen[w] {
-                            seen[w] = true;
-                            count += 1;
-                            queue.push(w);
-                        }
-                    }
-                }
-                count
-            }
-        }
-    }
 }
 
 impl fmt::Display for Topology {
@@ -1075,6 +1062,69 @@ impl Iterator for Neighbors<'_> {
             }
         }
     }
+}
+
+/// Vertices reachable from vertex 0 of a CSR graph (graph search over
+/// `heads[offsets[v]..offsets[v + 1]]`).
+fn reachable_from_zero(offsets: &[usize], heads: &[u32]) -> usize {
+    let n = offsets.len() - 1;
+    let mut seen = vec![false; n];
+    let mut queue = vec![0usize];
+    seen[0] = true;
+    let mut count = 1;
+    while let Some(v) = queue.pop() {
+        for &w in &heads[offsets[v]..offsets[v + 1]] {
+            let w = w as usize;
+            if !seen[w] {
+                seen[w] = true;
+                count += 1;
+                queue.push(w);
+            }
+        }
+    }
+    count
+}
+
+/// One configuration-model attempt of [`Topology::random_regular`]:
+/// Fisher–Yates-shuffles `stubs` and records each pair
+/// `(stubs[2k], stubs[2k + 1])` as an edge in the stride-`d` adjacency
+/// `heads`, where vertex `v`'s neighbours so far are
+/// `heads[v·d..v·d + fill[v]]`. Returns `false` at the first self-loop or
+/// repeated edge.
+///
+/// Fisher–Yates fixes positions from the top down, so pair `k` is final
+/// once iteration `2k` has run (pair 0 after the last one, `i = 1`) and
+/// is checked then. A rejected attempt still makes every remaining range
+/// draw: it consumes exactly the RNG stream of a full shuffle, so each
+/// seed yields the graph a shuffle-then-check loop would.
+fn pair_stubs(
+    rng: &mut SmallRng,
+    stubs: &mut [u32],
+    heads: &mut [u32],
+    fill: &mut [u32],
+    d: usize,
+) -> bool {
+    for i in (1..stubs.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        stubs.swap(i, j);
+        if i % 2 == 1 && i > 1 {
+            continue;
+        }
+        let k = i & !1;
+        let (a, b) = (stubs[k] as usize, stubs[k + 1] as usize);
+        let (sa, sb) = (a * d + fill[a] as usize, b * d + fill[b] as usize);
+        if a == b || heads[a * d..sa].contains(&stubs[k + 1]) {
+            for rest in (1..i).rev() {
+                let _: usize = rng.gen_range(0..=rest);
+            }
+            return false;
+        }
+        heads[sa] = b as u32;
+        heads[sb] = a as u32;
+        fill[a] += 1;
+        fill[b] += 1;
+    }
+    true
 }
 
 /// The `pos`-th edge of the lexicographic enumeration `(0,1), (0,2), …,

@@ -128,15 +128,22 @@ macro_rules! impl_sample_range {
 impl_sample_range!(u8, u16, u32, u64, usize);
 
 /// Uniform sample in `[0, span)` by rejection, avoiding modulo bias.
+///
+/// The acceptance zone `[0, zone]` always contains `[0, u64::MAX - span]`
+/// (`2⁶⁴ mod span < span`), so a draw in that prefix is accepted before
+/// the zone's division is paid; a draw passes the prefix with probability
+/// `span / 2⁶⁴`. Values and stream are those of the plain rejection loop.
 fn reject_sample(rng: &mut (impl RngCore + ?Sized), span: u64) -> u64 {
     debug_assert!(span > 0);
-    let zone = u64::MAX - (u64::MAX - span + 1) % span;
-    loop {
-        let v = rng.next_u64();
-        if v <= zone {
-            return v % span;
-        }
+    let mut v = rng.next_u64();
+    if v <= u64::MAX - span {
+        return v % span;
     }
+    let zone = u64::MAX - (u64::MAX - span + 1) % span;
+    while v > zone {
+        v = rng.next_u64();
+    }
+    v % span
 }
 
 /// Convenience extension methods over any [`RngCore`].
@@ -223,7 +230,44 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::SmallRng;
-    use super::{Rng, RngCore, SeedableRng};
+    use super::{reject_sample, Rng, RngCore, SeedableRng};
+
+    /// The plain rejection loop `reject_sample` must reproduce.
+    fn reject_sample_oracle(rng: &mut SmallRng, span: u64) -> u64 {
+        let zone = u64::MAX - (u64::MAX - span + 1) % span;
+        loop {
+            let v = rng.next_u64();
+            if v <= zone {
+                return v % span;
+            }
+        }
+    }
+
+    #[test]
+    fn reject_sample_matches_the_plain_rejection_loop() {
+        let spans = [
+            1,
+            2,
+            (1 << 32) - 1,
+            (1 << 32) + 1,
+            1 << 63,
+            (1 << 63) + 1,
+            3 << 62,
+            u64::MAX,
+        ];
+        for span in spans {
+            let mut fast = SmallRng::seed_from_u64(span);
+            let mut oracle = fast.clone();
+            for draw in 0..2000 {
+                assert_eq!(
+                    reject_sample(&mut fast, span),
+                    reject_sample_oracle(&mut oracle, span),
+                    "span {span}, draw {draw}"
+                );
+                assert_eq!(fast, oracle, "span {span}, draw {draw}: RNG state");
+            }
+        }
+    }
 
     #[test]
     fn seeded_streams_are_deterministic() {
