@@ -1,5 +1,6 @@
-//! E17 — the indexed simulation hot path: wall-clock of the graphical
-//! fault-tolerant simulators after PR 9's `RunIndex` + batched-arc work.
+//! E17 — the simulation hot path: wall-clock of the graphical
+//! fault-tolerant simulators with `SKnO`'s settled-queue check and the
+//! batched arc draw.
 //!
 //! The workload is the same simulated two-way epidemic as E13 (seeded at
 //! vertex 0, run to stable full *simulated* infection), but the grid is
@@ -8,10 +9,10 @@
 //! * `sid_<family>_n<n>` — graphical `SID` (fault-free IO): the cached
 //!   adjacency-filtering flag plus the monomorphized batched arc draw.
 //! * `skno_o<o>_<family>_n<n>`, o ∈ {0, 1, 2} — graphical `SKnO` under
-//!   I3 with the bounded omission adversary at rate 0.02: the per-agent
-//!   `RunIndex` replaces the O(queue) census that used to dominate every
-//!   reactor check, so cost per step no longer grows with the number of
-//!   parked announcement tokens.
+//!   I3 with the bounded omission adversary at rate 0.02: the
+//!   settled-queue check skips the reactor's queue scans whenever no run
+//!   can complete, so most steps never walk the parked announcement
+//!   tokens.
 //!
 //! Families are complete / rr4 / ring at n ∈ {256, 1024, 4096} — one
 //! conductance extreme on each side of rr4. The complete-graph n = 1024

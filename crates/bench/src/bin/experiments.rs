@@ -111,7 +111,7 @@ impl Selection {
         ),
         (
             "e17",
-            "Indexed simulation hot path: RunIndex vs scan-reference wall-clock",
+            "Simulation hot path: settled-queue shortcut vs scan-reference wall-clock",
         ),
         (
             "e18",
@@ -546,7 +546,7 @@ fn main() {
         );
         println!(
             "{:>4} | {:>12} | {:>12} | {:>8} | {:>12}",
-            "o", "indexed", "scan-ref", "speedup", "steps"
+            "o", "shortcut", "scan-ref", "speedup", "steps"
         );
         for o in [0u32, 1, 2] {
             let start = std::time::Instant::now();
@@ -557,7 +557,7 @@ fn main() {
             let scan_ms = start.elapsed().as_secs_f64() * 1e3;
             assert_eq!(
                 fast, scan,
-                "indexed and scan-path runs must agree bit-for-bit"
+                "shortcut and scan-path runs must agree bit-for-bit"
             );
             println!(
                 "{:>4} | {:>9.2} ms | {:>9.2} ms | {:>7.2}\u{d7} | {:>12}",

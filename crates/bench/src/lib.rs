@@ -526,7 +526,8 @@ pub fn skno_epidemic_graphical_run(
 
 /// [`skno_epidemic_graphical_run`] with the simulator path explicit:
 /// `indexed = false` runs the same workload through the scan-path
-/// reference (`Skno::scan_reference`). The outcome is bit-identical
+/// reference (`Skno::scan_reference`), which turns off the settled-queue
+/// shortcut. The outcome is bit-identical
 /// either way — `tests/simulator_index_equivalence.rs` certifies it, and
 /// the E17 harness re-asserts it live — so the A/B difference is pure
 /// wall-clock.

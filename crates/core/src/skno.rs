@@ -102,6 +102,17 @@ impl<Q> Token<Q> {
     }
 }
 
+impl<Q: Clone> Token<Q> {
+    /// A copy of this token at run position `i` (a joker stays a joker).
+    fn reindexed(&self, i: u32) -> Token<Q> {
+        let mut token = self.clone();
+        if let Token::Run { index, .. } | Token::Change { index, .. } = &mut token {
+            *index = i;
+        }
+        token
+    }
+}
+
 /// The run (announcement) a token belongs to. The leading `u32` is the
 /// announcement origin — constant `0` in anonymous mode, so keys compare
 /// exactly as before origins existed.
@@ -162,19 +173,6 @@ impl<Q: Clone> RunKeyRef<'_, Q> {
     }
 }
 
-impl<Q: PartialEq> RunKey<Q> {
-    /// Whether this owned key names the same run as a borrowed key.
-    fn matches(&self, key: &RunKeyRef<'_, Q>) -> bool {
-        match (self, key) {
-            (RunKey::Plain(o1, q1), RunKeyRef::Plain(o2, q2)) => o1 == o2 && q1 == *q2,
-            (RunKey::Change(o1, t1, s1, r1), RunKeyRef::Change(o2, t2, s2, r2)) => {
-                o1 == o2 && t1 == t2 && s1 == *s2 && r1 == *r2
-            }
-            _ => false,
-        }
-    }
-}
-
 /// Queue positions stored inline in [`TokenQueue`] before spilling to the
 /// heap. A fresh announcement fill enqueues `o + 1` tokens, so any
 /// `o ≤ 3` — every benched and tested bound — runs entirely inline.
@@ -231,6 +229,22 @@ impl<Q> TokenQueue<Q> {
     /// The head token (next to transmit), if any.
     fn front(&self) -> Option<&Token<Q>> {
         self.head[0].as_ref()
+    }
+
+    /// The token at queue position `pos` (0 = front), if any.
+    fn get(&self, pos: usize) -> Option<&Token<Q>> {
+        if pos < INLINE_TOKENS {
+            self.head[pos].as_ref()
+        } else {
+            self.spill.get(pos - INLINE_TOKENS)
+        }
+    }
+
+    /// The tail token (last appended), if any.
+    fn back(&self) -> Option<&Token<Q>> {
+        self.len
+            .checked_sub(1)
+            .and_then(|last| self.get(last as usize))
     }
 
     /// Appends a token at the back.
@@ -310,274 +324,61 @@ impl<Q> FromIterator<Token<Q>> for TokenQueue<Q> {
     }
 }
 
-/// Incremental census of a sending queue: per run key, the multiplicity
-/// of every run position, plus the queue's joker supply.
-///
-/// The reactor procedure's three per-step scans ([`Skno::find_run`] for
-/// the own-run cancel, [`Skno::plan_best`] for the plain and change
-/// branches) each walk the whole queue only to discover — almost every
-/// step — that nothing completes. The index answers exactly that
-/// *existence* question in O(distinct keys) integer compares, maintained
-/// in O(1) per token push/pop; the scans still run, unchanged, whenever
-/// the index certifies a completion exists, so the winning run, its
-/// tie-breaking, and the constructed plan are the reference code's own.
-///
-/// Invariants while `built` (checked against a fresh census by
-/// `assert_matches` in test/debug builds):
-/// * `jokers` = number of [`Token::Joker`] in the queue;
-/// * for every key with at least one queued token, exactly one entry,
-///   whose `counts[i-1]` is the number of queued tokens `⟨key, i⟩` and
-///   whose `distinct` is the number of nonzero `counts` slots;
-/// * no entry with `distinct == 0`.
-///
-/// Entry order is deliberately meaningless — winner selection is always
-/// delegated to the scan path. The index is rebuilt lazily (`built` is
-/// cleared) after a completion consumes tokens mid-queue; completions
-/// are roughly once per simulated interaction, against queue pushes and
-/// existence queries every step. Tokens whose run position exceeds the
-/// indexed run length cannot arise from execution (minting is always
-/// `1..=o+1`) and are not tracked.
+/// Empty slot marker in [`RunPlan`].
+const EMPTY: usize = usize::MAX;
+
+/// A run-completion plan: per run position `1..=o+1`, the queue position
+/// consumed for it — the first real `⟨key, i⟩`, or a joker standing in
+/// for a missing one. Inline for runs of up to [`INLINE_TOKENS`] tokens
+/// (every `o ≤ 3`), so planning and consuming such a run allocates
+/// nothing; longer runs use the heap.
 #[derive(Clone, Debug)]
-struct RunIndex<Q> {
-    /// Whether the census is live; `false` means "rebuild before use".
-    built: bool,
-    /// The run length (`o + 1`) the census was built for.
-    run_len: u32,
-    /// Jokers currently in the queue.
-    jokers: u32,
-    /// The inline entry slot: steady-state queues hold tokens of a single
-    /// announcement (a fill enqueues `o + 1` tokens of one key), so the
-    /// census usually fits here, inside the agent state — no heap hop on
-    /// the per-step push/check path. Order is meaningless (see above), so
-    /// any entry may occupy the slot.
-    first: Option<IndexEntry<Q>>,
-    /// Further distinct keys, heap-spilled (rare).
-    more: Vec<IndexEntry<Q>>,
+enum RunPlan {
+    Inline(usize, [usize; INLINE_TOKENS]),
+    Heap(Vec<usize>),
 }
 
-// Manual impl: `Q: Default` must not be required (derive would add it).
-impl<Q> Default for RunIndex<Q> {
-    fn default() -> Self {
-        RunIndex {
-            built: false,
-            run_len: 0,
-            jokers: 0,
-            first: None,
-            more: Vec::new(),
-        }
-    }
-}
-
-#[derive(Clone, Debug)]
-struct IndexEntry<Q> {
-    key: RunKey<Q>,
-    /// Multiplicity of each run position `1..=run_len` (0-indexed).
-    counts: PosCounts,
-    /// Number of nonzero `counts` slots.
-    distinct: u32,
-}
-
-/// Per-position multiplicities of one run key: inline for any
-/// `run_len ≤ INLINE_TOKENS` (all benched and tested bounds), heap for
-/// astronomically long runs — same rationale as [`TokenQueue`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum PosCounts {
-    Small([u32; INLINE_TOKENS]),
-    Large(Vec<u32>),
-}
-
-impl PosCounts {
-    fn new(run_len: u32) -> Self {
-        if run_len as usize <= INLINE_TOKENS {
-            PosCounts::Small([0; INLINE_TOKENS])
+impl RunPlan {
+    /// `len` empty slots.
+    fn new(len: usize) -> Self {
+        if len <= INLINE_TOKENS {
+            RunPlan::Inline(len, [EMPTY; INLINE_TOKENS])
         } else {
-            PosCounts::Large(vec![0; run_len as usize])
+            RunPlan::Heap(vec![EMPTY; len])
         }
     }
 
-    /// Bumps position `idx` and returns its new multiplicity.
-    fn incr(&mut self, idx: usize) -> u32 {
-        let slot = match self {
-            PosCounts::Small(counts) => &mut counts[idx],
-            PosCounts::Large(counts) => &mut counts[idx],
-        };
-        *slot += 1;
-        *slot
+    fn slots(&self) -> &[usize] {
+        match self {
+            RunPlan::Inline(len, slots) => &slots[..*len],
+            RunPlan::Heap(slots) => slots,
+        }
     }
 
-    /// Drops position `idx` and returns its new multiplicity.
-    fn decr(&mut self, idx: usize) -> u32 {
-        let slot = match self {
-            PosCounts::Small(counts) => &mut counts[idx],
-            PosCounts::Large(counts) => &mut counts[idx],
-        };
-        *slot -= 1;
-        *slot
+    fn slots_mut(&mut self) -> &mut [usize] {
+        match self {
+            RunPlan::Inline(len, slots) => &mut slots[..*len],
+            RunPlan::Heap(slots) => slots,
+        }
+    }
+
+    /// How many slots a joker fills.
+    fn jokers_used<Q>(&self, queue: &TokenQueue<Q>) -> usize {
+        self.slots()
+            .iter()
+            .filter(|&&pos| queue.get(pos).is_some_and(Token::is_joker))
+            .count()
     }
 }
 
-impl<Q: Clone + PartialEq> RunIndex<Q> {
-    /// The census entries, in meaningless order.
-    fn entries(&self) -> impl Iterator<Item = &IndexEntry<Q>> {
-        self.first.iter().chain(self.more.iter())
-    }
-
-    /// Rebuilds the census from scratch for the given run length.
-    fn rebuild(&mut self, queue: &TokenQueue<Q>, run_len: u32) {
-        self.built = true;
-        self.run_len = run_len;
-        self.jokers = 0;
-        self.first = None;
-        self.more.clear();
-        for token in queue.iter() {
-            self.note_push(token);
-        }
-    }
-
-    /// Accounts for a token appended to the queue.
-    fn note_push(&mut self, token: &Token<Q>) {
-        let Some((key, i)) = token.key_ref() else {
-            self.jokers += 1;
-            return;
-        };
-        debug_assert!(i >= 1, "run positions are 1-based");
-        let idx = (i - 1) as usize;
-        if idx >= self.run_len as usize {
-            return; // unreachable from execution; see the type docs
-        }
-        let found = self
-            .first
-            .iter_mut()
-            .chain(self.more.iter_mut())
-            .find(|e| e.key.matches(&key));
-        match found {
-            Some(entry) => {
-                if entry.counts.incr(idx) == 1 {
-                    entry.distinct += 1;
-                }
-            }
-            None => {
-                let mut counts = PosCounts::new(self.run_len);
-                counts.incr(idx);
-                let entry = IndexEntry {
-                    key: key.to_owned(),
-                    counts,
-                    distinct: 1,
-                };
-                if self.first.is_none() {
-                    self.first = Some(entry);
-                } else {
-                    self.more.push(entry);
-                }
-            }
-        }
-    }
-
-    /// Accounts for a token removed from the queue.
-    fn note_remove(&mut self, token: &Token<Q>) {
-        let Some((key, i)) = token.key_ref() else {
-            self.jokers -= 1;
-            return;
-        };
-        let idx = (i - 1) as usize;
-        if idx >= self.run_len as usize {
-            return;
-        }
-        if let Some(entry) = self.first.as_mut().filter(|e| e.key.matches(&key)) {
-            if entry.counts.decr(idx) == 0 {
-                entry.distinct -= 1;
-                if entry.distinct == 0 {
-                    // Refill the inline slot from the spill (any entry
-                    // may sit there — order is meaningless).
-                    self.first = self.more.pop();
-                }
-            }
-        } else if let Some(pos) = self.more.iter().position(|e| e.key.matches(&key)) {
-            let entry = &mut self.more[pos];
-            if entry.counts.decr(idx) == 0 {
-                entry.distinct -= 1;
-                if entry.distinct == 0 {
-                    self.more.swap_remove(pos);
-                }
-            }
-        }
-    }
-
-    /// Whether `entry`'s run can complete: at least one real token, and
-    /// jokers covering every missing position — exactly the condition
-    /// [`Skno::find_run`]'s census pass checks.
-    fn completable(&self, entry: &IndexEntry<Q>) -> bool {
-        entry.distinct >= 1 && self.jokers >= self.run_len - entry.distinct
-    }
-
-    /// Whether any completable run's key passes `filter` — the O(keys)
-    /// existence check gating the scan path.
-    fn has_completable(&self, mut filter: impl FnMut(&RunKey<Q>) -> bool) -> bool {
-        self.entries()
-            .any(|e| self.completable(e) && filter(&e.key))
-    }
-
-    /// Canary against silent index drift: asserts the maintained census
-    /// agrees with a fresh one over the queue.
-    #[cfg(any(test, debug_assertions))]
-    fn assert_matches(&self, queue: &TokenQueue<Q>, run_len: u32)
-    where
-        Q: std::fmt::Debug,
-    {
-        assert!(self.built, "cross-checking an unbuilt index");
-        assert_eq!(self.run_len, run_len, "index built for a different bound");
-        let mut fresh = RunIndex::default();
-        fresh.rebuild(queue, run_len);
-        assert_eq!(self.jokers, fresh.jokers, "joker tally drifted");
-        assert_eq!(
-            self.entries().count(),
-            fresh.entries().count(),
-            "key census drifted: {:?} vs fresh {:?}",
-            self.entries().collect::<Vec<_>>(),
-            fresh.entries().collect::<Vec<_>>()
-        );
-        for e in fresh.entries() {
-            let kept = self
-                .entries()
-                .find(|k| k.key == e.key)
-                .unwrap_or_else(|| panic!("key {:?} missing from the index", e.key));
-            assert_eq!(kept.counts, e.counts, "counts drifted for {:?}", e.key);
-            assert_eq!(
-                kept.distinct, e.distinct,
-                "distinct drifted for {:?}",
-                e.key
-            );
-        }
-    }
-}
-
-/// A run-completion plan: queue positions to consume, plus the token
-/// identities any jokers stand in for.
-type RunPlan<Q> = (Vec<usize>, Vec<Token<Q>>);
-/// A completable run candidate: jokers used, its (borrowed) key, and the
-/// plan.
-type RunCandidate<'a, Q> = (usize, RunKeyRef<'a, Q>, RunPlan<Q>);
 /// A planned completion: the owned winning key and its plan.
-type PlannedRun<Q> = (RunKey<Q>, RunPlan<Q>);
-/// One census entry of `plan_best`: key, distinct-index mask, count.
+type PlannedRun<Q> = (RunKey<Q>, RunPlan);
+/// One census entry of `tally`: key, distinct-index mask, count.
 type KeyTally<'a, Q> = (RunKeyRef<'a, Q>, u128, u32);
 
-fn token_of<Q: Clone>(key: &RunKeyRef<'_, Q>, index: u32) -> Token<Q> {
-    match key {
-        RunKeyRef::Plain(o, q) => Token::Run {
-            origin: *o,
-            state: (*q).clone(),
-            index,
-        },
-        RunKeyRef::Change(o, t, s, r) => Token::Change {
-            origin: *o,
-            target: *t,
-            starter: (*s).clone(),
-            reactor: (*r).clone(),
-            index,
-        },
-    }
-}
+/// Longest run the census bitmasks cover; longer runs (an astronomically
+/// large `o`) always take the probing scan path.
+const MASK_BITS: u32 = 128;
 
 /// Per-agent state of the [`Skno`] simulator.
 ///
@@ -585,25 +386,33 @@ fn token_of<Q: Clone>(key: &RunKeyRef<'_, Q>, index: u32) -> Token<Q> {
 /// (the commit log exposed through [`SimulatorState`]) are excluded, since
 /// they never influence the dynamics. This keeps state-space exploration
 /// (FTT search, model checking) finite.
+/// The derived fields `jokers` and `settled` are excluded too: they
+/// follow from the queue, and only decide whether the reactor checks
+/// may skip their queue scans.
+///
 /// Field order is load-bearing for the hot path (`repr(C)` pins it): the
 /// flags and the inline queue head — everything a fault-free step reads —
-/// sit in the state's first cache line, the incremental census follows,
-/// and the rarely-touched spill/ghost fields trail. Combined with the
-/// inline-first `TokenQueue` and `RunIndex` (both private), a steady-state
-/// interaction touches only the two endpoint states themselves: no
-/// per-agent heap pointers to chase, which is what makes the engine's
-/// batch-prefetch effective.
+/// sit in the state's first cache line, and the rarely-touched
+/// spill/ghost fields trail. Combined with the inline-first `TokenQueue`
+/// (private), a steady-state interaction touches only the two endpoint
+/// states themselves: no per-agent heap pointers to chase, which is what
+/// makes the engine's batch-prefetch effective.
 #[derive(Clone, Debug)]
 #[repr(C)]
 pub struct SknoState<Q> {
     site: u32,
+    /// Jokers in `sending` (derived), kept exact by every push, pop and
+    /// completion.
+    jokers: u32,
     pending: bool,
+    /// Derived: no run that passes this agent's current completion
+    /// filter can complete — except possibly the run of the token just
+    /// received, which the reactor checks examine next. Cleared by every
+    /// mutation that can create any other completion (a joker push, a
+    /// fill, a completion); see [`Skno::checks`].
+    settled: bool,
     sim: Q,
     sending: TokenQueue<Q>,
-    /// Incremental census of `sending` (derived data — excluded from
-    /// equality and hashing like the ghost fields below; rebuilt on
-    /// demand whenever stale).
-    index: RunIndex<Q>,
     owed: Vec<Token<Q>>,
     /// Ghost verification field, boxed: written once per (rare) commit,
     /// read only by audits — not worth widening every state for.
@@ -650,10 +459,11 @@ impl<Q: State> SknoState<Q> {
         SknoState {
             sim: q,
             site,
+            jokers: 0,
             pending: false,
+            settled: false,
             sending: TokenQueue::new(),
             owed: Vec::new(),
-            index: RunIndex::default(),
             commit: None,
             commits: 0,
         }
@@ -677,7 +487,7 @@ impl<Q: State> SknoState<Q> {
 
     /// Number of jokers currently in the sending queue.
     pub fn queued_jokers(&self) -> usize {
-        self.sending.iter().filter(|t| t.is_joker()).count()
+        self.jokers as usize
     }
 
     /// Number of token identities owed to the joker pool (the paper's
@@ -702,40 +512,59 @@ impl<Q: State> SknoState<Q> {
         pending: bool,
         tokens: impl IntoIterator<Item = Token<Q>>,
     ) -> Self {
+        let sending: TokenQueue<Q> = tokens.into_iter().collect();
         SknoState {
             sim,
             site,
+            jokers: sending.iter().filter(|t| t.is_joker()).count() as u32,
             pending,
-            sending: tokens.into_iter().collect(),
+            settled: false,
+            sending,
             owed: Vec::new(),
-            index: RunIndex::default(),
             commit: None,
             commits: 0,
         }
     }
 
-    /// Appends a token to the sending queue, keeping the incremental
-    /// census in sync when it is live. **Every** queue append inside this
-    /// module goes through here (or invalidates the index): pushing to
-    /// `sending` directly while the index is built would silently desync
-    /// it — the debug cross-check in the reactor procedure exists to
-    /// catch exactly that.
+    /// Appends a token to the sending queue. **Every** queue append
+    /// inside this module goes through here: a joker can complete any
+    /// run, so it counts toward `jokers` and clears `settled`; a real
+    /// token `⟨k, i⟩` can only complete run `k`, so it leaves `settled`
+    /// standing for the caller's next check to examine `k` alone (the
+    /// debug cross-check in [`Skno::checks`] catches any caller that
+    /// does not).
     fn push_token(&mut self, token: Token<Q>) {
-        if self.index.built {
-            self.index.note_push(&token);
+        if token.is_joker() {
+            self.jokers += 1;
+            self.settled = false;
         }
         self.sending.push_back(token);
     }
 
-    /// Pops the head token, keeping the incremental census in sync.
+    /// Pops the head token. Removing a token never makes a run
+    /// completable, so `settled` stands.
     fn pop_token(&mut self) -> Option<Token<Q>> {
         let token = self.sending.pop_front();
-        if self.index.built {
-            if let Some(t) = &token {
-                self.index.note_remove(t);
-            }
+        if token.as_ref().is_some_and(Token::is_joker) {
+            self.jokers -= 1;
         }
         token
+    }
+
+    /// Logs a committed simulated transition, reusing the boxed commit
+    /// record once the agent has one.
+    fn record_commit(&mut self, role: Role, partner: Q, partner_id: Option<u64>) {
+        let commit = Commit {
+            role,
+            partner,
+            partner_id,
+            seq: self.commits,
+        };
+        match &mut self.commit {
+            Some(boxed) => **boxed = commit,
+            None => self.commit = Some(Box::new(commit)),
+        }
+        self.commits += 1;
     }
 
     /// The tokens currently queued for sending, head first.
@@ -819,7 +648,7 @@ pub struct Skno<P> {
     bookkeeping: JokerBookkeeping,
     topology: Option<Arc<Topology>>,
     addressed: bool,
-    indexed: bool,
+    shortcut: bool,
     /// Precomputed [`Skno::filtering`]: the adjacency/addressing guards
     /// consult it several times per interaction, and recomputing it
     /// means an `Arc` deref plus a repr match on every call.
@@ -851,7 +680,7 @@ impl<P: TwoWayProtocol> Skno<P> {
             bookkeeping: JokerBookkeeping::Rummy,
             topology: None,
             addressed: true,
-            indexed: true,
+            shortcut: true,
             filtering: false,
         }
     }
@@ -869,7 +698,7 @@ impl<P: TwoWayProtocol> Skno<P> {
             bookkeeping,
             topology: None,
             addressed: true,
-            indexed: true,
+            shortcut: true,
             filtering: false,
         }
     }
@@ -932,7 +761,7 @@ impl<P: TwoWayProtocol> Skno<P> {
             bookkeeping: JokerBookkeeping::Rummy,
             topology: Some(Arc::new(topology)),
             addressed: true,
-            indexed: true,
+            shortcut: true,
             filtering,
         }
     }
@@ -956,7 +785,7 @@ impl<P: TwoWayProtocol> Skno<P> {
             bookkeeping: JokerBookkeeping::Rummy,
             topology: Some(Arc::new(topology)),
             addressed: false,
-            indexed: true,
+            shortcut: true,
             filtering,
         }
     }
@@ -1014,33 +843,25 @@ impl<P: TwoWayProtocol> Skno<P> {
         !self.filtering() || !self.addressed || target == site
     }
 
-    /// Disables the incremental run index: every reactor check runs the
-    /// full queue scans, as the pre-index implementation did.
+    /// Turns the settled-queue shortcut off: every reactor check runs
+    /// the full queue scans.
     ///
-    /// The scan path is the **reference semantics** — the index is an
-    /// existence cache in front of it, certified bit-identical (states
-    /// *and* RNG stream, which the simulator never touches) by
-    /// `tests/simulator_index_equivalence.rs`. Keep this variant for
-    /// differential tests; measurements should use the default.
+    /// The scan path is the **reference semantics** — the shortcut only
+    /// decides when the scans may be skipped, and is certified
+    /// bit-identical (states *and* RNG stream, which the simulator never
+    /// touches) by `tests/simulator_index_equivalence.rs`. Keep this
+    /// variant for differential tests; measurements should use the
+    /// default.
     #[must_use]
     pub fn scan_reference(mut self) -> Self {
-        self.indexed = false;
+        self.shortcut = false;
         self
     }
 
-    /// Whether the incremental run index is in force (default) or every
+    /// Whether the settled-queue shortcut is in force (default) or every
     /// check scans the queue ([`scan_reference`](Skno::scan_reference)).
     pub fn is_indexed(&self) -> bool {
-        self.indexed
-    }
-
-    /// Rebuilds the agent's queue census if it is stale (fresh state,
-    /// post-completion, or built for a different bound).
-    fn ensure_index(&self, r: &mut SknoState<P::State>) {
-        let len = self.run_len();
-        if !r.index.built || r.index.run_len != len {
-            r.index.rebuild(&r.sending, len);
-        }
+        self.shortcut
     }
 
     /// The joker-bookkeeping policy in force.
@@ -1103,6 +924,8 @@ impl<P: TwoWayProtocol> Skno<P> {
                 };
                 s.push_token(token);
             }
+            // The queue now holds the complete own run.
+            s.settled = false;
         }
     }
 
@@ -1122,124 +945,96 @@ impl<P: TwoWayProtocol> Skno<P> {
 
     /// Searches the queue for a completable run with the given key:
     /// all indices `1..=o+1` present, jokers covering the missing ones.
-    /// Returns the queue positions to consume (real tokens then jokers)
-    /// and the identities the jokers stand in for.
+    /// Returns the plan: per run position, its first real token's queue
+    /// position, or else one of the queue's first jokers (missing run
+    /// positions take them in order).
     ///
-    /// Two-pass on purpose: the first pass decides *whether* the run
-    /// completes without allocating (keys are compared by reference, the
-    /// found-index set lives in a bitmask for any realistic `o`), and
-    /// only a completing run — roughly once per simulated interaction,
-    /// against queue scans every step — pays for building the plan.
+    /// One pass over stack slots for any run of up to [`INLINE_TOKENS`]
+    /// tokens: keys are compared by reference and nothing is allocated.
     fn find_run(
         &self,
         queue: &TokenQueue<P::State>,
         key: &RunKeyRef<'_, P::State>,
-    ) -> Option<RunPlan<P::State>> {
-        let len = self.run_len();
-        let mut found = 0u32;
-        let mut jokers_available = 0usize;
-        let mut mask = 0u128;
-        let mut big_mask: Vec<bool> = if len > 128 {
-            vec![false; len as usize]
-        } else {
-            Vec::new()
-        };
-        for t in queue.iter() {
+    ) -> Option<RunPlan> {
+        let len = self.run_len() as usize;
+        let mut plan = RunPlan::new(len);
+        // The first `len - 1` jokers: a run needs at least one real token.
+        let mut spare = RunPlan::new(len - 1);
+        let (mut found, mut jokers) = (0, 0);
+        let (slots, spare_slots) = (plan.slots_mut(), spare.slots_mut());
+        for (pos, t) in queue.iter().enumerate() {
             match t.key_ref() {
-                None => jokers_available += 1,
+                None => {
+                    if let Some(slot) = spare_slots.get_mut(jokers) {
+                        *slot = pos;
+                    }
+                    jokers += 1;
+                }
                 Some((k, i)) if k == *key => {
-                    let idx = (i - 1) as usize;
-                    let seen = if len > 128 {
-                        std::mem::replace(&mut big_mask[idx], true)
-                    } else {
-                        let was = mask >> idx & 1 == 1;
-                        mask |= 1 << idx;
-                        was
-                    };
-                    if !seen {
+                    let slot = &mut slots[(i - 1) as usize];
+                    if *slot == EMPTY {
+                        *slot = pos;
                         found += 1;
                     }
                 }
                 Some(_) => {}
             }
         }
-        if found == 0 {
-            return None; // a run must contain at least one real token
-        }
-        if jokers_available < (len - found) as usize {
+        if found == 0 || jokers < len - found {
             return None;
         }
-        // The run completes: rebuild the exact plan of the allocating scan.
-        let mut positions: Vec<Option<usize>> = vec![None; len as usize];
-        for (pos, t) in queue.iter().enumerate() {
-            if let Some((k, i)) = t.key_ref() {
-                if k == *key && positions[(i - 1) as usize].is_none() {
-                    positions[(i - 1) as usize] = Some(pos);
-                }
+        let missing = slots.iter_mut().filter(|slot| **slot == EMPTY);
+        for (slot, &joker) in missing.zip(spare_slots.iter()) {
+            *slot = joker;
+        }
+        Some(plan)
+    }
+
+    /// Consumes a planned run: records the identities its jokers stand
+    /// in for (lowest run position first) and removes the planned
+    /// positions from the queue.
+    fn consume(&self, r: &mut SknoState<P::State>, mut plan: RunPlan) {
+        // Every run holds a real token; it names the owed identities.
+        let template = plan
+            .slots()
+            .iter()
+            .filter_map(|&pos| r.sending.get(pos))
+            .find(|t| !t.is_joker())
+            .expect("a planned run holds a real token");
+        for (i, &pos) in plan.slots().iter().enumerate() {
+            if r.sending.get(pos).is_some_and(Token::is_joker) {
+                r.owed.push(template.reindexed(i as u32 + 1));
             }
         }
-        let missing: Vec<u32> = (1..=len)
-            .filter(|i| positions[(i - 1) as usize].is_none())
-            .collect();
-        let jokers: Vec<usize> = queue
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_joker())
-            .map(|(pos, _)| pos)
-            .take(missing.len())
-            .collect();
-        let mut consume: Vec<usize> = positions.into_iter().flatten().collect();
-        consume.extend(&jokers);
-        let owed_new: Vec<Token<P::State>> = missing.iter().map(|&i| token_of(key, i)).collect();
-        Some((consume, owed_new))
-    }
-
-    /// Removes the planned positions from the queue and records the joker
-    /// substitutions.
-    fn consume(
-        &self,
-        r: &mut SknoState<P::State>,
-        mut positions: Vec<usize>,
-        owed_new: Vec<Token<P::State>>,
-    ) {
-        // Mid-queue removals: cheaper to rebuild the census lazily than
-        // to mirror them (completions are rare against pushes).
-        r.index.built = false;
-        positions.sort_unstable_by(|a, b| b.cmp(a));
-        for pos in positions {
-            r.sending.remove(pos);
+        let slots = plan.slots_mut();
+        slots.sort_unstable_by(|a, b| b.cmp(a));
+        for &pos in slots.iter() {
+            if r.sending.remove(pos).is_some_and(|t| t.is_joker()) {
+                r.jokers -= 1;
+            }
         }
-        r.owed.extend(owed_new);
     }
 
-    /// Plans the best completable run among the queue's distinct keys
-    /// passing `filter` (fewest jokers used, then earliest first
-    /// occurrence). Pure with respect to the queue: the caller consumes.
-    ///
-    /// One census scan tallies every key's distinct-index count (a
-    /// bitmask for any realistic `o`) and the joker supply, so picking
-    /// the winner — fewest jokers used is most distinct indices found —
-    /// needs no per-key rescan; only the winner pays
-    /// [`find_run`](Self::find_run)'s plan-building pass.
-    fn plan_best(
+    /// One census pass over `queue`: every distinct key passing `filter`
+    /// in first-occurrence order, with its distinct-index mask and count
+    /// (a bitmask, so counts stay 0 for runs longer than [`MASK_BITS`]),
+    /// and the queue's joker supply. A fixed block of stack slots keeps
+    /// the common case allocation-free; queues with more distinct keys
+    /// spill to the heap.
+    fn tally<'q>(
         &self,
-        queue: &TokenQueue<P::State>,
+        queue: &'q TokenQueue<P::State>,
         mut filter: impl FnMut(&RunKeyRef<'_, P::State>) -> bool,
-    ) -> Option<PlannedRun<P::State>> {
-        let len = self.run_len();
-        let use_mask = len <= 128;
-        // Census in first-occurrence order: (key, distinct-index mask,
-        // distinct-index count). A fixed block of stack slots keeps the
-        // no-completion common case allocation-free; queues with more
-        // distinct keys spill to the heap.
+    ) -> (impl Iterator<Item = KeyTally<'q, P::State>>, usize) {
+        let use_mask = self.run_len() <= MASK_BITS;
         const SLOTS: usize = 8;
-        let mut slots: [Option<KeyTally<'_, P::State>>; SLOTS] = [None; SLOTS];
+        let mut slots: [Option<KeyTally<'q, P::State>>; SLOTS] = [None; SLOTS];
         let mut filled = 0usize;
-        let mut spill: Vec<KeyTally<'_, P::State>> = Vec::new();
-        let mut jokers_available = 0usize;
+        let mut spill: Vec<KeyTally<'q, P::State>> = Vec::new();
+        let mut jokers = 0usize;
         for t in queue.iter() {
             match t.key_ref() {
-                None => jokers_available += 1,
+                None => jokers += 1,
                 Some((key, i)) if filter(&key) => {
                     let entry = match slots[..filled]
                         .iter_mut()
@@ -1269,165 +1064,181 @@ impl<P: TwoWayProtocol> Skno<P> {
                 Some(_) => {}
             }
         }
-        let tally = slots
+        let keys = slots
             .into_iter()
             .take(filled)
             .map(|s| s.expect("filled slot"))
             .chain(spill);
-        let best = if use_mask {
-            // Fewest jokers used = most distinct indices found; ties go
-            // to the earliest first occurrence (stable max over `>`).
-            let (key, _, found) = tally
-                .filter(|(_, _, found)| *found > 0 && jokers_available >= (len - found) as usize)
+        (keys, jokers)
+    }
+
+    /// Whether a run with `found` distinct real positions completes
+    /// given `jokers` jokers.
+    fn completes(&self, found: u32, jokers: usize) -> bool {
+        found > 0 && jokers >= (self.run_len() - found) as usize
+    }
+
+    /// Plans the best completable run among the queue's distinct keys
+    /// passing `filter` (fewest jokers used, then earliest first
+    /// occurrence). Pure with respect to the queue: the caller consumes.
+    ///
+    /// One [`tally`](Self::tally) pass counts every key's distinct
+    /// indices, so picking the winner — fewest jokers used is most
+    /// distinct indices found — needs no per-key rescan; only the winner
+    /// pays [`find_run`](Self::find_run)'s plan-building pass.
+    fn plan_best(
+        &self,
+        queue: &TokenQueue<P::State>,
+        filter: impl FnMut(&RunKeyRef<'_, P::State>) -> bool,
+    ) -> Option<PlannedRun<P::State>> {
+        let (keys, jokers) = self.tally(queue, filter);
+        let (key, plan) = if self.run_len() <= MASK_BITS {
+            // Ties go to the earliest first occurrence (stable max over
+            // `>`).
+            let (key, ..) = keys
+                .filter(|&(_, _, found)| self.completes(found, jokers))
                 .reduce(|best, cand| if cand.2 > best.2 { cand } else { best })?;
             let plan = self
                 .find_run(queue, &key)
                 .expect("census certified completability");
-            debug_assert_eq!(plan.1.len(), (len - found) as usize);
-            Some((key, plan))
+            (key, plan)
         } else {
-            // Astronomically large `o`: fall back to probing each key.
-            let mut best: Option<RunCandidate<'_, P::State>> = None;
-            for (key, ..) in tally {
-                if let Some((positions, owed_new)) = self.find_run(queue, &key) {
-                    let jokers_used = owed_new.len();
-                    let better = match &best {
-                        None => true,
-                        Some((best_jokers, ..)) => jokers_used < *best_jokers,
-                    };
-                    if better {
-                        best = Some((jokers_used, key, (positions, owed_new)));
-                    }
-                }
-            }
-            best.map(|(_, key, plan)| (key, plan))
+            // Astronomically large `o`: probe each key; `min_by_key`
+            // keeps the earliest of equals.
+            let (_, key, plan) = keys
+                .filter_map(|(key, ..)| {
+                    let plan = self.find_run(queue, &key)?;
+                    Some((plan.jokers_used(queue), key, plan))
+                })
+                .min_by_key(|(jokers_used, ..)| *jokers_used)?;
+            (key, plan)
         };
-        let (key, plan) = best?;
         Some((key.to_owned(), plan))
+    }
+
+    /// The key of `r`'s own announcement run.
+    fn own_key<'s>(&self, r: &'s SknoState<P::State>) -> RunKeyRef<'s, P::State> {
+        RunKeyRef::Plain(self.mint_origin(r), &r.sim)
+    }
+
+    /// Whether an available `r` may consume a plain run of `key`:
+    /// announced by a graph neighbor, in graphical mode.
+    fn plain_ok(&self, r: &SknoState<P::State>, key: &RunKeyRef<'_, P::State>) -> bool {
+        matches!(key, RunKeyRef::Plain(o, _) if self.neighbor_ok(*o, r.site))
+    }
+
+    /// Whether a pending `r` may consume a change run of `key`: one for
+    /// its own state, and in graphical mode addressed to this agent.
+    fn change_ok(&self, r: &SknoState<P::State>, key: &RunKeyRef<'_, P::State>) -> bool {
+        matches!(key, RunKeyRef::Change(_, t, s, _) if *s == &r.sim && self.change_addressed(*t, r.site))
+    }
+
+    /// `r`'s current completion filter: the runs whose completion the
+    /// reactor checks act on — its own announcement and the change runs
+    /// it may consume while pending, the plain runs it may consume while
+    /// available.
+    fn in_filter(&self, r: &SknoState<P::State>, key: &RunKeyRef<'_, P::State>) -> bool {
+        if r.pending {
+            *key == self.own_key(r) || self.change_ok(r, key)
+        } else {
+            self.plain_ok(r, key)
+        }
     }
 
     /// The preliminary and core checks of the reactor procedure. Returns
     /// whether anything was consumed or completed — every action removes
     /// queue tokens, so `true` implies the state changed.
     ///
-    /// Dispatches to the indexed fast path (default) or the scan
-    /// reference ([`scan_reference`](Skno::scan_reference)); the two are
-    /// bit-identical by construction — the index only *gates* the scans,
-    /// it never selects a run.
-    fn checks(&self, r: &mut SknoState<P::State>) -> bool {
-        if self.indexed {
-            self.checks_indexed(r)
-        } else {
-            self.checks_scan(r)
+    /// `received` says the queue's tail is the token just received. By
+    /// default the checks skip the queue scans when they provably find
+    /// nothing ([`settles`](Self::settles)); the
+    /// [`scan_reference`](Skno::scan_reference) variant always scans.
+    /// Either way the scans alone pick the winner and build its plan, so
+    /// both variants compute the same successor state.
+    fn checks(&self, r: &mut SknoState<P::State>, received: bool) -> bool {
+        if self.shortcut && self.run_len() <= MASK_BITS && self.settles(r, received) {
+            #[cfg(any(test, debug_assertions))]
+            self.assert_settled(r);
+            return false;
         }
+        r.settled = false;
+        self.checks_scan(r)
     }
 
-    /// The indexed reactor checks: each branch consults the incremental
-    /// census first and only runs the (unchanged) queue scan when a
-    /// completion provably exists — the common no-completion step does
-    /// no queue walk at all.
-    fn checks_indexed(&self, r: &mut SknoState<P::State>) -> bool {
-        self.ensure_index(r);
-        #[cfg(any(test, debug_assertions))]
-        r.index.assert_matches(&r.sending, self.run_len());
-        let mut acted = false;
-        let filtering = self.filtering();
-        // Preliminary: own-announcement cancel. The index predicate is
-        // find_run's completability condition for exactly the own key.
-        if r.pending {
-            let own_origin = self.mint_origin(r);
-            let own_completable = {
-                let sim = &r.sim;
-                r.index.has_completable(
-                    |k| matches!(k, RunKey::Plain(o, q) if *o == own_origin && q == sim),
-                )
+    /// Whether no run passing `r`'s filter can complete, keeping
+    /// `settled` up to date.
+    ///
+    /// A settled queue that just received a real token `⟨k, i⟩` can only
+    /// have made run `k` completable: one pass over `k`'s positions,
+    /// compared against `jokers`, decides. An unsettled queue gets one
+    /// census pass under the filter.
+    fn settles(&self, r: &mut SknoState<P::State>, received: bool) -> bool {
+        if r.settled {
+            let Some((key, _)) = r
+                .sending
+                .back()
+                .filter(|_| received)
+                .and_then(Token::key_ref)
+            else {
+                return true;
             };
-            if own_completable {
-                let own_key = RunKeyRef::Plain(own_origin, &r.sim);
-                let (positions, owed_new) = self
-                    .find_run(&r.sending, &own_key)
-                    .expect("index certified own-run completability");
-                self.consume(r, positions, owed_new);
-                r.pending = false;
-                acted = true;
-                self.ensure_index(r);
-            }
+            return !(self.in_filter(r, &key) && self.covered(&r.sending, &key, r.jokers));
         }
-        if !r.pending {
-            let site = r.site;
-            let plain_completable = r.index.has_completable(
-                |k| matches!(k, RunKey::Plain(o, _) if self.neighbor_ok(*o, site)),
-            );
-            if plain_completable {
-                let plan = self.plan_best(
-                    &r.sending,
-                    |k| matches!(k, RunKeyRef::Plain(o, _) if self.neighbor_ok(*o, site)),
-                );
-                let Some((RunKey::Plain(origin, q), (positions, owed_new))) = plan else {
-                    unreachable!("index certified a completable plain run")
-                };
-                self.consume(r, positions, owed_new);
-                let old = r.sim.clone();
-                r.sim = self.protocol.reactor_out(&q, &old);
-                let change_origin = self.mint_origin(r);
-                for i in 1..=self.run_len() {
-                    r.push_token(Token::Change {
-                        origin: change_origin,
-                        target: origin,
-                        starter: q.clone(),
-                        reactor: old.clone(),
-                        index: i,
-                    });
+        let settled = {
+            let (mut keys, jokers) = self.tally(&r.sending, |k| self.in_filter(r, k));
+            !keys.any(|(_, _, found)| self.completes(found, jokers))
+        };
+        r.settled = settled;
+        settled
+    }
+
+    /// Whether the run `key`, which has a real token in `queue`,
+    /// completes with `jokers` jokers: one pass over its positions, which
+    /// stops as soon as the jokers cover the rest.
+    fn covered(
+        &self,
+        queue: &TokenQueue<P::State>,
+        key: &RunKeyRef<'_, P::State>,
+        jokers: u32,
+    ) -> bool {
+        let needed = self.run_len().saturating_sub(jokers);
+        let (mut mask, mut found) = (0u128, 0);
+        for t in queue.iter() {
+            let Some((_, i)) = t.key_ref().filter(|(k, _)| k == key) else {
+                continue;
+            };
+            let bit = 1u128 << ((i - 1) as usize);
+            if mask & bit == 0 {
+                mask |= bit;
+                found += 1;
+                if found >= needed {
+                    return true;
                 }
-                r.commit = Some(Box::new(Commit {
-                    role: Role::Reactor,
-                    partner: q,
-                    partner_id: filtering.then_some(origin as u64),
-                    seq: r.commits,
-                }));
-                r.commits += 1;
-                acted = true;
-            }
-        } else {
-            let change_completable = {
-                let sim = &r.sim;
-                let site = r.site;
-                r.index.has_completable(
-                    |k| matches!(k, RunKey::Change(_, t, s, _) if s == sim && self.change_addressed(*t, site)),
-                )
-            };
-            if change_completable {
-                let plan = {
-                    let own = &r.sim;
-                    let site = r.site;
-                    self.plan_best(
-                        &r.sending,
-                        |k| matches!(k, RunKeyRef::Change(_, t, s, _) if *s == own && self.change_addressed(*t, site)),
-                    )
-                };
-                let Some((RunKey::Change(origin, _, _, q_r), (positions, owed_new))) = plan else {
-                    unreachable!("index certified a completable change run")
-                };
-                self.consume(r, positions, owed_new);
-                let old = r.sim.clone();
-                r.sim = self.protocol.starter_out(&old, &q_r);
-                r.pending = false;
-                r.commit = Some(Box::new(Commit {
-                    role: Role::Starter,
-                    partner: q_r,
-                    partner_id: filtering.then_some(origin as u64),
-                    seq: r.commits,
-                }));
-                r.commits += 1;
-                acted = true;
             }
         }
-        acted
+        false
     }
 
-    /// The scan-path reference: every branch walks the queue, as the
-    /// pre-index implementation did. Kept verbatim as the oracle the
-    /// equivalence suite compares the indexed path against.
+    /// Debug cross-check of a skipped check: the scan path finds no
+    /// completion under the current filter, and `jokers` is exact.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_settled(&self, r: &SknoState<P::State>) {
+        let jokers = r.sending.iter().filter(|t| t.is_joker()).count();
+        assert_eq!(r.jokers as usize, jokers, "joker tally drifted");
+        let completes = if r.pending {
+            self.find_run(&r.sending, &self.own_key(r)).is_some()
+                || self
+                    .plan_best(&r.sending, |k| self.change_ok(r, k))
+                    .is_some()
+        } else {
+            self.plan_best(&r.sending, |k| self.plain_ok(r, k))
+                .is_some()
+        };
+        assert!(!completes, "settled-queue shortcut skipped a completion");
+    }
+
+    /// The scan path: every branch walks the queue. The reference
+    /// semantics, and what every check that cannot be skipped runs.
     fn checks_scan(&self, r: &mut SknoState<P::State>) -> bool {
         let mut acted = false;
         let filtering = self.filtering();
@@ -1435,9 +1246,9 @@ impl<P: TwoWayProtocol> Skno<P> {
         // of its *own* state cancels the transaction. In graphical mode
         // "its own" includes the origin: only the run this agent minted.
         if r.pending {
-            let own_key = RunKeyRef::Plain(self.mint_origin(r), &r.sim);
-            if let Some((positions, owed_new)) = self.find_run(&r.sending, &own_key) {
-                self.consume(r, positions, owed_new);
+            let plan = self.find_run(&r.sending, &self.own_key(r));
+            if let Some(plan) = plan {
+                self.consume(r, plan);
                 r.pending = false;
                 acted = true;
             }
@@ -1446,13 +1257,9 @@ impl<P: TwoWayProtocol> Skno<P> {
             // Core, available branch: consume a plain run — announced by
             // a graph neighbor, in graphical mode — and play the
             // simulated reactor.
-            let site = r.site;
-            let plan = self.plan_best(
-                &r.sending,
-                |k| matches!(k, RunKeyRef::Plain(o, _) if self.neighbor_ok(*o, site)),
-            );
-            if let Some((RunKey::Plain(origin, q), (positions, owed_new))) = plan {
-                self.consume(r, positions, owed_new);
+            let plan = self.plan_best(&r.sending, |k| self.plain_ok(r, k));
+            if let Some((RunKey::Plain(origin, q), plan)) = plan {
+                self.consume(r, plan);
                 let old = r.sim.clone();
                 r.sim = self.protocol.reactor_out(&q, &old);
                 let change_origin = self.mint_origin(r);
@@ -1467,42 +1274,23 @@ impl<P: TwoWayProtocol> Skno<P> {
                         index: i,
                     });
                 }
-                r.commit = Some(Box::new(Commit {
-                    role: Role::Reactor,
-                    partner: q,
-                    // Graphical runs are keyed per announcer, so the
-                    // simulated partner is no longer anonymous: expose
-                    // its vertex for the on-graph simulation audit.
-                    partner_id: filtering.then_some(origin as u64),
-                    seq: r.commits,
-                }));
-                r.commits += 1;
+                // Graphical runs are keyed per announcer, so the
+                // simulated partner is no longer anonymous: expose its
+                // vertex for the on-graph simulation audit.
+                r.record_commit(Role::Reactor, q, filtering.then_some(origin as u64));
                 acted = true;
             }
         } else {
             // Core, pending branch: consume a state-change run announced
             // for our own state — and, in graphical mode, addressed to
             // this very agent — and play the simulated starter.
-            let plan = {
-                let own = &r.sim;
-                let site = r.site;
-                self.plan_best(
-                    &r.sending,
-                    |k| matches!(k, RunKeyRef::Change(_, t, s, _) if *s == own && self.change_addressed(*t, site)),
-                )
-            };
-            if let Some((RunKey::Change(origin, _, _, q_r), (positions, owed_new))) = plan {
-                self.consume(r, positions, owed_new);
+            let plan = self.plan_best(&r.sending, |k| self.change_ok(r, k));
+            if let Some((RunKey::Change(origin, _, _, q_r), plan)) = plan {
+                self.consume(r, plan);
                 let old = r.sim.clone();
                 r.sim = self.protocol.starter_out(&old, &q_r);
                 r.pending = false;
-                r.commit = Some(Box::new(Commit {
-                    role: Role::Starter,
-                    partner: q_r,
-                    partner_id: filtering.then_some(origin as u64),
-                    seq: r.commits,
-                }));
-                r.commits += 1;
+                r.record_commit(Role::Starter, q_r, filtering.then_some(origin as u64));
                 acted = true;
             }
         }
@@ -1531,10 +1319,13 @@ impl<P: TwoWayProtocol> OneWayProgram for Skno<P> {
             return SknoState {
                 sim: s.sim.clone(),
                 site: s.site,
+                jokers: 0,
                 pending: true,
+                // The own run less its head, and no jokers: nothing
+                // completes.
+                settled: true,
                 sending,
                 owed: s.owed.clone(),
-                index: RunIndex::default(),
                 commit: s.commit.clone(),
                 commits: s.commits,
             };
@@ -1548,10 +1339,7 @@ impl<P: TwoWayProtocol> OneWayProgram for Skno<P> {
     /// Rummy swap, then runs the preliminary and core checks.
     fn on_receive(&self, s: &Self::State, r: &Self::State) -> Self::State {
         let mut r2 = r.clone();
-        if let Some(token) = self.outgoing(s) {
-            self.enqueue(&mut r2, token);
-        }
-        self.checks(&mut r2);
+        self.on_receive_in_place(s, &mut r2);
         r2
     }
 
@@ -1571,8 +1359,7 @@ impl<P: TwoWayProtocol> OneWayProgram for Skno<P> {
     /// checks.
     fn on_omission_reactor(&self, r: &Self::State) -> Self::State {
         let mut r2 = r.clone();
-        r2.push_token(Token::Joker);
-        self.checks(&mut r2);
+        self.on_omission_reactor_in_place(&mut r2);
         r2
     }
 
@@ -1598,6 +1385,9 @@ impl<P: TwoWayProtocol> OneWayProgram for Skno<P> {
                 };
                 s.push_token(token);
             }
+            // The own run less its head, and no jokers (the queue was
+            // empty): nothing completes.
+            s.settled = true;
             return true;
         }
         s.pop_token().is_some()
@@ -1606,13 +1396,15 @@ impl<P: TwoWayProtocol> OneWayProgram for Skno<P> {
     /// In-place `f`: a delivered token always changes the queue; without
     /// one (drained pending starter), only a check action changes state.
     fn on_receive_in_place(&self, s: &Self::State, r: &mut Self::State) -> bool {
-        let mut changed = false;
-        if let Some(token) = self.outgoing(s) {
-            self.enqueue(r, token);
-            changed = true;
-        }
-        let acted = self.checks(r);
-        changed || acted
+        let received = match self.outgoing(s) {
+            Some(token) => {
+                self.enqueue(r, token);
+                true
+            }
+            None => false,
+        };
+        let acted = self.checks(r, received);
+        received || acted
     }
 
     /// In-place `o`: filling (if due) and the minted joker always grow
@@ -1626,7 +1418,7 @@ impl<P: TwoWayProtocol> OneWayProgram for Skno<P> {
     /// In-place `h`: the minted joker always grows the queue.
     fn on_omission_reactor_in_place(&self, r: &mut Self::State) -> bool {
         r.push_token(Token::Joker);
-        self.checks(r);
+        self.checks(r, false);
         true
     }
 
@@ -1858,7 +1650,7 @@ mod tests {
         // Simulate the announcement returning home.
         let tok = s.sending.pop_front().unwrap();
         skno.enqueue(&mut s, tok);
-        skno.checks(&mut s);
+        skno.checks(&mut s, true);
         assert!(
             !s.is_pending(),
             "own-run return must cancel the pending transaction"
@@ -1869,9 +1661,9 @@ mod tests {
     #[test]
     fn indexed_checks_match_scan_reference_bitwise() {
         // Same seeds, same adversary, both anonymous and graphical (ring):
-        // the indexed path must land on identical final configurations.
-        // (The per-step debug cross-check inside checks_indexed already
-        // guards the census; this guards the gating logic end to end.)
+        // the shortcut path must land on identical final configurations.
+        // (The debug cross-check on every skipped check already guards
+        // the settled flag; this guards the gating logic end to end.)
         use ppfts_population::Topology;
         for seed in 0..4u64 {
             for o in [0u32, 1, 2] {
@@ -1910,37 +1702,54 @@ mod tests {
     }
 
     #[test]
-    fn run_index_census_tracks_pushes_and_pops() {
-        let mut idx: RunIndex<char> = RunIndex::default();
-        let queue: TokenQueue<char> = TokenQueue::new();
-        idx.rebuild(&queue, 3);
-        let t1 = Token::Run {
+    fn settled_flag_and_joker_tally_track_queue_mutations() {
+        let run = |i| Token::Run {
             origin: 0,
             state: 'c',
-            index: 1,
+            index: i,
         };
-        let t2 = Token::Run {
-            origin: 0,
-            state: 'c',
-            index: 2,
-        };
-        idx.note_push(&t1);
-        idx.note_push(&Token::Joker);
-        assert_eq!(idx.entries().count(), 1);
-        assert_eq!(idx.entries().next().unwrap().distinct, 1);
-        assert_eq!(idx.jokers, 1);
-        // One real token + one joker cannot cover a 3-run.
-        assert!(!idx.has_completable(|_| true));
-        idx.note_push(&t2);
-        // Two distinct + one joker: completable.
-        assert!(idx.has_completable(|k| matches!(k, RunKey::Plain(0, 'c'))));
-        assert!(!idx.has_completable(|k| matches!(k, RunKey::Plain(1, _))));
-        idx.note_remove(&t1);
-        assert!(!idx.has_completable(|_| true));
-        idx.note_remove(&t2);
-        assert!(idx.entries().next().is_none(), "empty keys are dropped");
-        idx.note_remove(&Token::Joker);
-        assert_eq!(idx.jokers, 0);
+        // Fill-then-pop leaves the own run less its head: settled.
+        let skno = Skno::new(pairing(), 1);
+        let mut s = SknoState::new('c');
+        assert!(skno.on_proximity_in_place(&mut s));
+        assert!(s.is_pending() && s.settled);
+        assert_eq!(s.jokers, 0);
+        assert!(!skno.checks(&mut s, false), "nothing completes");
+        assert!(s.settled);
+
+        // An I4 starter mint clears it; the mint is counted.
+        let mut minted = s.clone();
+        assert!(skno.on_omission_starter_in_place(&mut minted));
+        assert!(!minted.settled);
+        assert_eq!(minted.jokers, 1);
+
+        // A Rummy swap clears it too: the owed ⟨c,1⟩ returns as a joker.
+        let mut swapped = s.clone();
+        swapped.owed.push(run(1));
+        skno.enqueue(&mut swapped, run(1));
+        assert!(!swapped.settled);
+        assert_eq!((swapped.jokers, swapped.owed_tokens()), (1, 0));
+
+        // A received real token is examined on its own: the returning
+        // ⟨c,1⟩ completes the own run, and the agent cancels.
+        skno.enqueue(&mut s, run(1));
+        assert!(s.settled, "a real token leaves the flag to the check");
+        assert!(skno.checks(&mut s, true));
+        assert!(!s.is_pending() && !s.settled);
+        assert_eq!(s.commit_count(), 0, "cancellation is not a commit");
+
+        // A completion keeps the tally exact: two of three jokers stand
+        // in for ⟨c,2⟩ and ⟨c,3⟩, in run order.
+        let skno = Skno::new(pairing(), 2);
+        let queue = [Token::Joker, run(1), Token::Joker, Token::Joker];
+        let mut r = SknoState::with_queue(0, 'p', false, queue);
+        assert_eq!(r.jokers, 3);
+        assert!(skno.checks(&mut r, false));
+        assert_eq!(r.jokers, 1);
+        assert_eq!(r.queued_jokers(), 1);
+        assert_eq!(r.tokens().filter(|t| t.is_joker()).count(), 1);
+        assert_eq!(r.owed().cloned().collect::<Vec<_>>(), [run(2), run(3)]);
+        assert!(!r.settled, "a completion clears the flag");
     }
 
     #[test]

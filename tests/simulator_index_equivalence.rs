@@ -1,38 +1,43 @@
-//! Indexed-simulator equivalence suite.
+//! Simulator fast-path equivalence suite.
 //!
-//! PR 9 put an incremental `RunIndex` in front of `SKnO`'s per-step
-//! queue census and cached the adjacency-filtering flag of `SID` /
-//! `SKnO`; the scan path is kept as the reference semantics
-//! (`Skno::scan_reference`). This suite certifies the contract that
-//! makes the index an *optimization* rather than a semantic change:
+//! `SKnO`'s reactor checks skip their queue scans when a settled-queue
+//! check proves that no run can complete, and `SID` / `SKnO` cache the
+//! adjacency-filtering flag; the scan path is kept as the reference
+//! semantics (`Skno::scan_reference`). This suite certifies the contract
+//! that makes the shortcut an *optimization* rather than a semantic
+//! change:
 //!
 //! 1. **Bit-identity** — for any model, omission bound `o ∈ {0, 1, 2}`,
 //!    adversary, complete or restricted graph, and scalar / batched /
-//!    sharded execution, the indexed simulator produces the same final
+//!    sharded execution, the shortcut simulator produces the same final
 //!    configuration, `RunStats`, step count, and recorded trace as the
-//!    scan-path simulator from the same seed.
+//!    scan-path simulator from the same seed. Edge-path cases extend
+//!    this to a multi-state protocol, naive joker bookkeeping, the
+//!    unaddressed graphical mutant, and I4 under a high omission rate.
 //! 2. **RNG position** — after the comparison point both runners are
 //!    driven further on their own RNGs and must still agree, which can
 //!    only hold if the first phase consumed the shared stream
-//!    identically (the index makes no draws of its own).
+//!    identically (the shortcut makes no draws of its own).
 //! 3. **`SID` / `NamedSid` fast path** — the cached filtering flag keeps
 //!    the complete-graph graphical simulators bit-identical to their
 //!    anonymous forms, and restricted-graph batched runs bit-identical
 //!    to scalar runs.
 //!
-//! CI runs this suite with `PROPTEST_CASES=32` on every push; debug
-//! builds additionally cross-check the index against a fresh census on
-//! every reactor check (`RunIndex::assert_matches`).
+//! CI runs this suite with `PROPTEST_CASES=32` in debug and 256 in
+//! release on every push; debug builds additionally cross-check every
+//! skipped reactor check against the scan path's census and a fresh
+//! joker count.
 
 use proptest::prelude::*;
 
-use ppfts::core::{NamedSid, Sid, Skno};
+use ppfts::core::{JokerBookkeeping, NamedSid, Sid, Skno};
 use ppfts::engine::{
     AtMostOneStrategy, BoundedStrategy, FullTrace, OneWayModel, OneWayRunner, RateStrategy,
     ScriptedOmissions, StatsOnly,
 };
 use ppfts::population::Topology;
-use ppfts::protocols::Epidemic;
+use ppfts::protocols::majority_states::{SX, SY, WX, WY};
+use ppfts::protocols::{Epidemic, ExactMajority, Pairing, PairingState};
 
 fn one_way_model_strategy() -> impl Strategy<Value = OneWayModel> {
     prop_oneof![
@@ -105,6 +110,67 @@ macro_rules! drive_skno_with_adversary {
             ),
         }
     };
+}
+
+/// Drives one seeded configuration through the shortcut simulator
+/// `$skno` and through its scan reference, and asserts the two runs
+/// bit-identical: configurations, stats, steps, traces and RNG position.
+macro_rules! assert_shortcut_equals_scan {
+    ($skno:expr, $config:expr, $model:expr, $topology:expr, $seed:expr,
+     $adv:expr, $rate:expr, $o:expr, $at:expr, $steps:expr, $exec:expr, $batch:expr) => {{
+        let shards = if $exec == 2 { 3 } else { 1 };
+        let observe = |skno| {
+            // Sharded runs need a passive sink.
+            let sink = if $exec == 2 {
+                FullTrace::disabled()
+            } else {
+                FullTrace::new()
+            };
+            let builder = OneWayRunner::builder($model, skno)
+                .config($config)
+                .shards(shards)
+                .seed($seed)
+                .trace_sink(sink);
+            match &$topology {
+                Some(t) => drive_skno_with_adversary!(
+                    builder.topology(t.clone()),
+                    $adv,
+                    $rate,
+                    $o,
+                    $at,
+                    $steps,
+                    $exec,
+                    $batch
+                ),
+                None => {
+                    drive_skno_with_adversary!(builder, $adv, $rate, $o, $at, $steps, $exec, $batch)
+                }
+            }
+        };
+        let skno = $skno;
+        prop_assert!(skno.is_indexed());
+        let fast = observe(skno.clone());
+        let scan = observe(skno.scan_reference());
+        prop_assert_eq!(fast.0.as_slice(), scan.0.as_slice(), "final configuration");
+        prop_assert_eq!(fast.1, scan.1, "RunStats");
+        prop_assert_eq!(fast.2, scan.2, "step count");
+        prop_assert_eq!(fast.3, scan.3, "traces");
+        prop_assert_eq!(
+            fast.4.as_slice(),
+            scan.4.as_slice(),
+            "post-phase configurations diverged: phase 1 left different RNG positions"
+        );
+    }};
+}
+
+/// An anonymous (`None`), complete or restricted topology, per the
+/// sweeps' `graphical` pick: 0-1 anonymous, 2 complete, 3-4 restricted.
+fn pick_topology(n: usize, graphical: u8, gseed: u64) -> Option<Topology> {
+    match graphical {
+        0 | 1 => None,
+        2 => Some(Topology::complete(n).unwrap()),
+        g => Some(restricted_topology(n, g, gseed)),
+    }
 }
 
 proptest! {
@@ -288,6 +354,120 @@ proptest! {
         prop_assert_eq!(anon.0.as_slice(), graph.0.as_slice());
         prop_assert_eq!(anon.1, graph.1);
     }
+    /// A multi-state protocol: `ExactMajority`'s four states put more
+    /// distinct run keys in a queue than the bool epidemic, so the
+    /// census and the received-run check see competing keys.
+    #[test]
+    fn shortcut_equals_scan_on_a_multi_state_protocol(
+        model in one_way_model_strategy(),
+        o in 0u32..=2,
+        n in 4usize..12,
+        graphical in 0u8..5,
+        gseed in 0u64..50,
+        adv in 0u8..4,
+        rate in 1u32..=20,
+        at in 0u64..400,
+        seed in 0u64..10_000,
+        steps in 0u64..400,
+        exec in 0u8..3,
+        batch in 1u64..200,
+    ) {
+        let topology = pick_topology(n, graphical, gseed);
+        let n = topology.as_ref().map_or(n, Topology::len);
+        let sims: Vec<_> = (0..n).map(|i| [SX, SY, WX, WY, SX][i % 5]).collect();
+        let skno = match &topology {
+            Some(t) => Skno::graphical(ExactMajority, o, t.clone()),
+            None => Skno::new(ExactMajority, o),
+        };
+        assert_shortcut_equals_scan!(
+            skno, Skno::<ExactMajority>::initial(&sims), model, topology, seed,
+            adv, rate, o, at, steps, exec, batch
+        );
+    }
+
+    /// Naive joker bookkeeping: jokers are spent and forgotten, with no
+    /// Rummy swap back, so the joker supply evolves differently.
+    #[test]
+    fn shortcut_equals_scan_under_naive_bookkeeping(
+        model in one_way_model_strategy(),
+        o in 0u32..=2,
+        n in 4usize..12,
+        adv in 0u8..4,
+        rate in 1u32..=30,
+        at in 0u64..400,
+        seed in 0u64..10_000,
+        steps in 0u64..400,
+        exec in 0u8..3,
+        batch in 1u64..200,
+    ) {
+        let sims: Vec<bool> = (0..n).map(|i| i == 0).collect();
+        let skno = Skno::with_bookkeeping(Epidemic, o, JokerBookkeeping::Naive);
+        let topology: Option<Topology> = None;
+        assert_shortcut_equals_scan!(
+            skno, Skno::<Epidemic>::initial(&sims), model, topology, seed,
+            adv, rate, o, at, steps, exec, batch
+        );
+    }
+
+    /// The unaddressed graphical mutant: any pending agent in the right
+    /// state may complete a change run, so the change filter ignores
+    /// the target.
+    #[test]
+    fn shortcut_equals_scan_on_the_unaddressed_mutant(
+        model in one_way_model_strategy(),
+        o in 0u32..=2,
+        n in 4usize..12,
+        pick in 0u8..3,
+        gseed in 0u64..50,
+        adv in 0u8..4,
+        rate in 1u32..=20,
+        at in 0u64..400,
+        seed in 0u64..10_000,
+        steps in 0u64..400,
+        exec in 0u8..3,
+        batch in 1u64..200,
+    ) {
+        let topology = restricted_topology(n, pick, gseed);
+        let n = topology.len();
+        let sims: Vec<_> = (0..n)
+            .map(|i| if i % 2 == 0 { PairingState::Consumer } else { PairingState::Producer })
+            .collect();
+        let skno = Skno::graphical_unaddressed(Pairing, o, topology.clone());
+        let topology = Some(topology);
+        assert_shortcut_equals_scan!(
+            skno, Skno::<Pairing>::initial(&sims), model, topology, seed,
+            adv, rate, o, at, steps, exec, batch
+        );
+    }
+
+    /// I4 under a high omission rate: starter-side joker mints and Rummy
+    /// swaps are frequent, and both must clear the settled flag.
+    #[test]
+    fn shortcut_equals_scan_in_i4_under_a_high_omission_rate(
+        o in 0u32..=2,
+        n in 4usize..12,
+        graphical in 0u8..5,
+        gseed in 0u64..50,
+        rate in 30u32..=90,
+        seed in 0u64..10_000,
+        steps in 0u64..1_000,
+        exec in 0u8..3,
+        batch in 1u64..200,
+    ) {
+        let topology = pick_topology(n, graphical, gseed);
+        let n = topology.as_ref().map_or(n, Topology::len);
+        let sims: Vec<bool> = (0..n).map(|i| i == 0).collect();
+        let skno = match &topology {
+            Some(t) => Skno::graphical(Epidemic, o, t.clone()),
+            None => Skno::new(Epidemic, o),
+        };
+        // Adversary pick 1: `RateStrategy` at `rate` percent.
+        assert_shortcut_equals_scan!(
+            skno, Skno::<Epidemic>::initial(&sims), OneWayModel::I4, topology, seed,
+            1u8, rate, o, 0u64, steps, exec, batch
+        );
+    }
+
 }
 
 #[test]
