@@ -555,50 +555,6 @@ pub fn skno_epidemic_graphical_run_with(
     (out, n as u64)
 }
 
-/// Batch size of the E16 sharded harness: the level planner packs
-/// ≈ n/2 agent-disjoint interactions per level, so batches much longer
-/// than the population keep every shard worker busy per level.
-pub const SHARD_BATCH: u64 = 8192;
-
-/// E16: executes exactly `steps` interactions of the graphical-SKnO
-/// simulated epidemic on `topology` with the batch application spread
-/// over `shards` worker threads (`run_sharded`), returning the
-/// simulated-infected count so the work cannot be elided.
-///
-/// The sharded path is bit-identical to the sequential batched path
-/// (certified in `tests/shard_equivalence.rs`), so for a fixed seed this
-/// function returns the *same* count at every shard count — the bench
-/// comparison `e16_shard/skno_rr4_n*_shards*` is pure wall-clock. The
-/// fixed interaction budget makes wall-clock directly divisible, the
-/// same convention as [`epidemic_fixed_steps_interleaved`].
-pub fn skno_graphical_fixed_steps_sharded(
-    topology: &Topology,
-    o: u32,
-    rate: f64,
-    shards: usize,
-    steps: u64,
-    seed: u64,
-) -> usize {
-    let n = topology.len();
-    let sims: Vec<bool> = (0..n).map(|v| v == 0).collect();
-    let mut runner = OneWayRunner::builder(
-        OneWayModel::I3,
-        Skno::graphical(Epidemic, o, topology.clone()),
-    )
-    .config(Skno::<Epidemic>::initial(&sims))
-    .topology(topology.clone())
-    .adversary(BoundedStrategy::new(rate, o as u64))
-    .seed(seed)
-    .trace_sink(StatsOnly)
-    .shards(shards)
-    .build()
-    .expect("graphical SKnO assembles on its own topology");
-    runner
-        .run_sharded(steps, SHARD_BATCH)
-        .expect("fixed-step SKnO epidemic cannot fail");
-    project(runner.config()).count_state(&true)
-}
-
 /// E12 (scheduling-layer cost): drains `draws` arcs from `topology` —
 /// the exact sampling path [`TopologyScheduler`](ppfts_engine::TopologyScheduler)
 /// runs per step — and
@@ -766,32 +722,6 @@ mod tests {
             ring.mean_steps,
             complete.mean_steps
         );
-    }
-
-    #[test]
-    fn sharded_fixed_step_workload_is_shard_count_invariant() {
-        let topology = Topology::random_regular(64, E13_RR_DEGREE, E13_TOPOLOGY_SEED).unwrap();
-        // o = 0: announcements complete in one delivery, so 20k
-        // interactions visibly spread the simulated epidemic. (o ≥ 1
-        // barely spreads at this scale — the E13 reassembly effect —
-        // which is why the invariance check below doesn't assert
-        // spread for it.)
-        let reference = skno_graphical_fixed_steps_sharded(&topology, 0, 0.02, 1, 20_000, 7);
-        assert!(reference > 1, "20k interactions must spread the epidemic");
-        for (o, expected) in [
-            (0u32, reference),
-            (1, {
-                skno_graphical_fixed_steps_sharded(&topology, 1, 0.02, 1, 20_000, 7)
-            }),
-        ] {
-            for shards in [2usize, 8] {
-                assert_eq!(
-                    skno_graphical_fixed_steps_sharded(&topology, o, 0.02, shards, 20_000, 7),
-                    expected,
-                    "o = {o}, shards = {shards}"
-                );
-            }
-        }
     }
 
     #[test]

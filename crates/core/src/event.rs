@@ -49,13 +49,13 @@ pub struct SimEvent<Q> {
 ///
 /// ```
 /// use ppfts_core::{extract_events, Role, Sid};
-/// use ppfts_engine::{OneWayModel, OneWayRunner};
+/// use ppfts_engine::{FullTrace, OneWayModel, OneWayRunner};
 /// use ppfts_protocols::Epidemic;
 ///
 /// let sid = Sid::new(Epidemic);
 /// let mut runner = OneWayRunner::builder(OneWayModel::Io, sid)
 ///     .config(Sid::<Epidemic>::initial(&[true, false]))
-///     .record_trace(true)
+///     .trace_sink(FullTrace::new())
 ///     .seed(1)
 ///     .build()?;
 /// runner.run(200)?;
@@ -122,7 +122,7 @@ fn push_if_committed<S, F>(
 mod tests {
     use super::*;
     use crate::{project, Sid, Skno};
-    use ppfts_engine::{OneWayModel, OneWayRunner, Planned};
+    use ppfts_engine::{FullTrace, OneWayModel, OneWayRunner, Planned};
     use ppfts_population::{Interaction, TableProtocol};
 
     fn pairing() -> TableProtocol<char> {
@@ -141,7 +141,7 @@ mod tests {
         let sid = Sid::new(pairing());
         let mut runner = OneWayRunner::builder(OneWayModel::Io, sid)
             .config(Sid::<TableProtocol<char>>::initial(&['c', 'p']))
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .build()
             .unwrap();
         runner
@@ -170,7 +170,7 @@ mod tests {
         let skno = Skno::new(pairing(), 0);
         let mut runner = OneWayRunner::builder(OneWayModel::I3, skno)
             .config(Skno::<TableProtocol<char>>::initial(&['c', 'p']))
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .build()
             .unwrap();
         runner
@@ -189,7 +189,7 @@ mod tests {
         let sid = Sid::new(pairing());
         let mut runner = OneWayRunner::builder(OneWayModel::Io, sid)
             .config(Sid::<TableProtocol<char>>::initial(&['c', 'c']))
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .build()
             .unwrap();
         // Two consumers can pair and lock — δ(c, c) is the identity — so

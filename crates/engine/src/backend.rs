@@ -168,16 +168,6 @@ pub trait ExecBackend: Population {
     /// without agent identities.
     fn pair_of(&self, interaction: Interaction) -> Result<Self::Pair, EngineError>;
 
-    /// The contiguous per-agent state slab, if this backend stores one —
-    /// the entry point of the sharded execution path, which partitions
-    /// the slab's indices across worker threads along a
-    /// [`LevelPlan`](ppfts_population::LevelPlan). `None` on backends
-    /// without per-agent storage (the count backend), which makes
-    /// sharded runners fall back to the sequential batched path.
-    fn dense_states_mut(&mut self) -> Option<&mut [Self::State]> {
-        None
-    }
-
     /// Hints the CPU to pull the states addressed by `pair` into cache.
     ///
     /// Batched runners call this a few plan entries ahead of the one they
@@ -269,10 +259,6 @@ impl<Q: State> ExecBackend for DenseConfiguration<Q> {
 
     fn pair_of(&self, interaction: Interaction) -> Result<Interaction, EngineError> {
         Ok(interaction)
-    }
-
-    fn dense_states_mut(&mut self) -> Option<&mut [Q]> {
-        Some(self.as_mut_slice())
     }
 
     fn prefetch_pair(&self, pair: &Interaction) {

@@ -71,10 +71,10 @@
 //! # Ok::<(), ppfts_engine::EngineError>(())
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// sharded batch executor (`shard` module), whose disjoint `&mut` access
-// pattern over the dense state slab carries a module-local safety
-// argument. Everything else stays unsafe-free.
+// `deny` rather than `forbid`: the one sanctioned exception is the cache
+// prefetch hint in `backend::prefetch_state`, a single `_mm_prefetch`
+// call under a block-local `allow` with its safety argument beside it.
+// Everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -92,8 +92,6 @@ mod program;
 mod runner;
 mod schedule;
 mod scheduler;
-#[allow(unsafe_code)]
-mod shard;
 mod sink;
 mod stats;
 mod trace;

@@ -68,10 +68,7 @@ pub trait TwoWayProgram {
         None
     }
 
-    /// Whether this program's update hooks may be applied from several
-    /// worker threads at once on *disjoint* agent pairs — see
-    /// [`OneWayProgram::shard_safe`] for the contract. Defaults to
-    /// `true`.
+    /// Unused; see [`OneWayProgram::shard_safe`]. Defaults to `true`.
     fn shard_safe(&self) -> bool {
         true
     }
@@ -217,22 +214,10 @@ pub trait OneWayProgram {
         None
     }
 
-    /// Whether this program's update hooks may be applied from several
-    /// worker threads at once on *disjoint* agent pairs.
-    ///
-    /// Hooks that are pure functions of their endpoint-state arguments —
-    /// every protocol and simulator in this workspace — are shard-safe,
-    /// so this defaults to `true`. A program must return `false` if its
-    /// hooks carry *interior mutability* observable across calls (a
-    /// `Cell`/`RefCell`/`Mutex` counter, a memo table, an event log):
-    /// under sharded execution, hook calls on disjoint pairs race in
-    /// wall-clock order, so such side state would diverge from the
-    /// sequential batched path even though the agent states themselves
-    /// cannot.
-    ///
-    /// Runner builders reject `shards(k > 1)` with a shard-unsafe
-    /// program at `build()` with
-    /// [`ShardIncompatible`](crate::EngineError::ShardIncompatible).
+    /// Unused: no engine code reads this flag. It remains, with its
+    /// `true` default, only because the benchmark's traced program
+    /// wrappers (`perfbench/src/probe.rs`) still forward it; delete it
+    /// once they drop that forwarding.
     fn shard_safe(&self) -> bool {
         true
     }

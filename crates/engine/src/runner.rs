@@ -28,13 +28,13 @@
 //!   adversary. This is how the impossibility constructions of the paper
 //!   (runs `I_k`, `I*`) are realized.
 
-use ppfts_population::{Configuration, Interaction, LevelPlan, Topology};
+use ppfts_population::{Configuration, Interaction, Topology};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::{
-    outcome, EngineError, ExecBackend, FullTrace, NoOmissions, OmissionStrategy, OneWayFault,
-    OneWayModel, OneWayProgram, RunStats, Scheduler, SidePolicy, StepRecord, TopologyScheduler,
+    outcome, EngineError, ExecBackend, NoOmissions, OmissionStrategy, OneWayFault, OneWayModel,
+    OneWayProgram, RunStats, Scheduler, SidePolicy, StatsOnly, StepRecord, TopologyScheduler,
     Trace, TraceSink, TwoWayFault, TwoWayModel, TwoWayProgram, UniformScheduler,
 };
 
@@ -146,7 +146,7 @@ macro_rules! runner_impl {
             P: $Program,
             S = UniformScheduler,
             A = NoOmissions,
-            T = FullTrace<<P as $Program>::State, $Fault>,
+            T = StatsOnly,
             C = Configuration<<P as $Program>::State>,
         > {
             model: $Model,
@@ -161,7 +161,6 @@ macro_rules! runner_impl {
             next_index: u64,
             stats: RunStats,
             sink: T,
-            shards: usize,
         }
 
         impl<P: $Program> $Runner<P> {
@@ -175,8 +174,7 @@ macro_rules! runner_impl {
                     adversary: NoOmissions,
                     side_policy: SidePolicy::Uniform,
                     seed: 0x9f75_53c1,
-                    sink: FullTrace::disabled(),
-                    shards: 1,
+                    sink: StatsOnly,
                 }
             }
         }
@@ -229,12 +227,6 @@ macro_rules! runner_impl {
             /// The trace sink.
             pub fn sink(&self) -> &T {
                 &self.sink
-            }
-
-            /// Worker threads the sharded path spreads each batch over
-            /// (1 = sequential; set with the builder's `shards` method).
-            pub fn shards(&self) -> usize {
-                self.shards
             }
 
             /// The recorded trace so far, if the sink retains one.
@@ -495,10 +487,8 @@ macro_rules! runner_impl {
             /// For the same seed this is *bit-identical* to
             /// [`run`](Self::run) — same RNG stream, same configuration,
             /// same [`RunStats`] — the batching only changes how the work
-            /// is staged. With a passive sink (e.g.
-            /// [`StatsOnly`](crate::StatsOnly), or the default sink before
-            /// `record_trace(true)`) no step builds a record or clones a
-            /// state.
+            /// is staged. With a passive sink (e.g. the default
+            /// [`StatsOnly`]) no step builds a record or clones a state.
             ///
             /// # Errors
             ///
@@ -619,192 +609,6 @@ macro_rules! runner_impl {
                 }
                 RunOutcome::Exhausted {
                     steps: self.next_index,
-                }
-            }
-
-            /// Executes `steps` scheduled interactions exactly like
-            /// [`run_batched`](Self::run_batched), but applies each
-            /// drawn batch across the builder's `shards` worker
-            /// threads.
-            ///
-            /// Each batch is still drawn *sequentially* (pair then
-            /// fault, in step order — the RNG stream is untouched),
-            /// then partitioned into agent-disjoint levels by a
-            /// [`LevelPlan`](ppfts_population::LevelPlan) and applied
-            /// level-parallel with a deterministic merge: commit order
-            /// is fixed by batch index, per-step tallies are summed
-            /// order-insensitively. For the same seed the result —
-            /// configuration, [`RunStats`], RNG position — is
-            /// *bit-identical* to [`run_batched`](Self::run_batched)
-            /// and therefore to [`run`](Self::run), for any shard
-            /// count (certified in `tests/shard_equivalence.rs`).
-            ///
-            /// With `shards <= 1`, a non-passive sink, or a backend
-            /// without a dense state slab, this *is* the sequential
-            /// batched path (same code, same result). Parallel
-            /// speedup comes from batches much longer than the
-            /// population (levels then hold ≈ n/2 independent
-            /// interactions each) and hooks that do real work per
-            /// step — the fault-tolerant simulators, not the
-            /// two-instruction epidemic.
-            ///
-            /// # Errors
-            ///
-            /// Same conditions as [`run_batched`](Self::run_batched);
-            /// on an error the failing step's whole level is applied
-            /// before the run stops (see the shard module docs).
-            ///
-            /// # Panics
-            ///
-            /// Panics if `batch` is zero.
-            pub fn run_sharded(&mut self, steps: u64, batch: u64) -> Result<(), EngineError>
-            where
-                P: Sync,
-            {
-                assert!(batch > 0, "batch size must be positive");
-                if !self.shard_fast_path() {
-                    return self.run_batched(steps, batch);
-                }
-                let mut plan = Vec::with_capacity(batch.min(steps) as usize);
-                let mut flat = Vec::with_capacity(batch.min(steps) as usize);
-                let mut levels = LevelPlan::new();
-                let mut remaining = steps;
-                while remaining > 0 {
-                    let take = remaining.min(batch);
-                    self.draw_batch(&mut plan, take);
-                    self.apply_batch_sharded(&plan, &mut flat, &mut levels)?;
-                    remaining -= take;
-                }
-                Ok(())
-            }
-
-            /// Runs shard-parallel until `predicate` holds on the
-            /// configuration — checked before the first step and then
-            /// at batch boundaries, exactly like
-            /// [`run_batched_until`](Self::run_batched_until), to
-            /// which this is bit-identical for any shard count.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `batch` is zero.
-            pub fn run_sharded_until(
-                &mut self,
-                max_steps: u64,
-                batch: u64,
-                mut predicate: impl FnMut(&C) -> bool,
-            ) -> RunOutcome
-            where
-                P: Sync,
-            {
-                assert!(batch > 0, "batch size must be positive");
-                if !self.shard_fast_path() {
-                    return self.run_batched_until(max_steps, batch, predicate);
-                }
-                if predicate(&self.config) {
-                    return RunOutcome::Satisfied {
-                        steps: self.next_index,
-                    };
-                }
-                let mut plan = Vec::with_capacity(batch.min(max_steps) as usize);
-                let mut flat = Vec::with_capacity(batch.min(max_steps) as usize);
-                let mut levels = LevelPlan::new();
-                let mut remaining = max_steps;
-                while remaining > 0 {
-                    let take = remaining.min(batch);
-                    self.draw_batch(&mut plan, take);
-                    if self.apply_batch_sharded(&plan, &mut flat, &mut levels).is_err() {
-                        break;
-                    }
-                    remaining -= take;
-                    if predicate(&self.config) {
-                        return RunOutcome::Satisfied {
-                            steps: self.next_index,
-                        };
-                    }
-                }
-                RunOutcome::Exhausted {
-                    steps: self.next_index,
-                }
-            }
-
-            /// Whether `run_sharded*` actually goes shard-parallel, or
-            /// falls back to the (bit-identical) sequential batched
-            /// path. The builder already rejected `shards > 1` on
-            /// assemblies that can never shard; this guards the
-            /// remaining run-time conditions.
-            fn shard_fast_path(&self) -> bool {
-                self.shards > 1 && C::STABLE_PAIRS && C::PER_AGENT && self.sink.is_passive()
-            }
-
-            /// Applies a drawn batch level-parallel. `flat` and
-            /// `levels` are caller-owned scratch reused across batches.
-            fn apply_batch_sharded(
-                &mut self,
-                plan: &[Drawn<C::Pair, $Fault>],
-                flat: &mut Vec<(Interaction, $Fault)>,
-                levels: &mut LevelPlan,
-            ) -> Result<(), EngineError>
-            where
-                P: Sync,
-            {
-                // One walk over the batch: flatten each pair and stream
-                // it straight into the level planner, instead of a
-                // second pass over the flattened interactions.
-                flat.clear();
-                levels.begin(self.config.len());
-                for p in plan {
-                    let interaction =
-                        C::interaction_of(&p.pair).ok_or(EngineError::ShardIncompatible {
-                            feature: "state-addressed pairs (count-based populations)",
-                        })?;
-                    flat.push((interaction, p.fault));
-                    levels.push(interaction);
-                }
-                levels.finish();
-                let shards = self.shards;
-                let $Runner {
-                    model,
-                    program,
-                    config,
-                    stats,
-                    next_index,
-                    ..
-                } = self;
-                let model = *model;
-                let program = &*program;
-                let states =
-                    config
-                        .dense_states_mut()
-                        .ok_or(EngineError::ShardIncompatible {
-                            feature: "populations without a dense per-agent state slab",
-                        })?;
-                let hook = |$fs: &mut <P as $Program>::State,
-                            $fr: &mut <P as $Program>::State,
-                            fault: $Fault|
-                 -> Result<(bool, bool), EngineError> {
-                    let $fmodel = model;
-                    let $fprogram = program;
-                    let $ffault = fault;
-                    $fast
-                };
-                let (tally, error) = crate::shard::apply_levels(
-                    shards,
-                    states,
-                    flat,
-                    levels,
-                    &hook,
-                    &|f: &$Fault| is_omissive(f),
-                );
-                *next_index += tally.applied;
-                stats.merge(&RunStats {
-                    steps: tally.applied,
-                    omissive_steps: tally.omissive,
-                    changed_steps: tally.changed,
-                    noop_steps: tally.applied - tally.changed,
-                });
-                match error {
-                    Some(e) => Err(e),
-                    None => Ok(()),
                 }
             }
 
@@ -1009,7 +813,7 @@ macro_rules! runner_impl {
             P: $Program,
             S = UniformScheduler,
             A = NoOmissions,
-            T = FullTrace<<P as $Program>::State, $Fault>,
+            T = StatsOnly,
             C = Configuration<<P as $Program>::State>,
         > {
             model: $Model,
@@ -1020,7 +824,6 @@ macro_rules! runner_impl {
             side_policy: SidePolicy,
             seed: u64,
             sink: T,
-            shards: usize,
         }
 
         impl<P, S, A, T, C> $Builder<P, S, A, T, C>
@@ -1054,7 +857,6 @@ macro_rules! runner_impl {
             /// [`EngineError::PerAgentBackendRequired`] when called.
             ///
             /// [`CountConfiguration`]: ppfts_population::CountConfiguration
-            /// [`StatsOnly`]: crate::StatsOnly
             pub fn population<C2: ExecBackend<State = <P as $Program>::State>>(
                 self,
                 population: C2,
@@ -1068,7 +870,6 @@ macro_rules! runner_impl {
                     side_policy: self.side_policy,
                     seed: self.seed,
                     sink: self.sink,
-                    shards: self.shards,
                 }
             }
 
@@ -1083,7 +884,6 @@ macro_rules! runner_impl {
                     side_policy: self.side_policy,
                     seed: self.seed,
                     sink: self.sink,
-                    shards: self.shards,
                 }
             }
 
@@ -1121,14 +921,12 @@ macro_rules! runner_impl {
                     side_policy: self.side_policy,
                     seed: self.seed,
                     sink: self.sink,
-                    shards: self.shards,
                 }
             }
 
-            /// Replaces the trace sink (default: a disabled
-            /// [`FullTrace`], i.e. no recording). Use
-            /// [`StatsOnly`](crate::StatsOnly) for the zero-allocation
-            /// measurement path or
+            /// Replaces the trace sink (default: [`StatsOnly`], the
+            /// zero-allocation measurement path that records nothing).
+            /// Use [`FullTrace`](crate::FullTrace) to record every step or
             /// [`SampledTrace`](crate::SampledTrace) for bounded-memory
             /// forensics.
             pub fn trace_sink<T2: TraceSink<P::State, $Fault>>(
@@ -1144,7 +942,6 @@ macro_rules! runner_impl {
                     side_policy: self.side_policy,
                     seed: self.seed,
                     sink,
-                    shards: self.shards,
                 }
             }
 
@@ -1158,27 +955,6 @@ macro_rules! runner_impl {
             /// Seeds the runner's RNG (scheduler + adversary randomness).
             pub fn seed(mut self, seed: u64) -> Self {
                 self.seed = seed;
-                self
-            }
-
-            /// Sets how many worker threads the `run_sharded*` methods
-            /// spread each drawn batch over (default 1 = sequential).
-            ///
-            /// Sharding never changes results — the sharded path is
-            /// bit-identical to the sequential batched path — so this
-            /// is purely a throughput knob. `build()` rejects
-            /// `shards > 1` on assemblies that can never shard: a
-            /// count-backed population
-            /// ([`EngineError::ShardIncompatible`], no per-agent state
-            /// slab to partition) or a program whose hooks declare
-            /// themselves shard-unsafe (`shard_safe() == false`).
-            ///
-            /// # Panics
-            ///
-            /// Panics if `shards` is zero.
-            pub fn shards(mut self, shards: usize) -> Self {
-                assert!(shards >= 1, "shards must be at least 1");
-                self.shards = shards;
                 self
             }
 
@@ -1251,20 +1027,6 @@ macro_rules! runner_impl {
                         return Err(EngineError::CompleteInteractionLawRequired { law });
                     }
                 }
-                if self.shards > 1 {
-                    if !C::PER_AGENT {
-                        return Err(EngineError::ShardIncompatible {
-                            feature: "count-based populations \
-                                      (no per-agent state slab to partition)",
-                        });
-                    }
-                    if !self.program.shard_safe() {
-                        return Err(EngineError::ShardIncompatible {
-                            feature: "programs whose in-place hooks are not \
-                                      shard-safe (shard_safe() == false)",
-                        });
-                    }
-                }
                 Ok($Runner {
                     model: self.model,
                     program: self.program,
@@ -1276,28 +1038,7 @@ macro_rules! runner_impl {
                     next_index: 0,
                     stats: RunStats::default(),
                     sink: self.sink,
-                    shards: self.shards,
                 })
-            }
-        }
-
-        impl<P, S, A, C> $Builder<P, S, A, FullTrace<<P as $Program>::State, $Fault>, C>
-        where
-            P: $Program,
-            S: Scheduler,
-            A: OmissionStrategy,
-        {
-            /// Enables or disables full trace recording — shorthand for
-            /// `trace_sink(FullTrace::new())` resp. the disabled default,
-            /// kept so certification call sites read the same as before
-            /// sinks existed.
-            pub fn record_trace(mut self, record: bool) -> Self {
-                self.sink = if record {
-                    FullTrace::new()
-                } else {
-                    FullTrace::disabled()
-                };
-                self
             }
         }
     };
@@ -1428,8 +1169,8 @@ runner_impl! {
 mod tests {
     use super::*;
     use crate::{
-        AtMostOneStrategy, RateStrategy, SampledTrace, ScriptedOmissions, ScriptedScheduler,
-        StatsOnly,
+        AtMostOneStrategy, FullTrace, RateStrategy, SampledTrace, ScriptedOmissions,
+        ScriptedScheduler,
     };
     use ppfts_population::TableProtocol;
 
@@ -1482,83 +1223,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_matches_batched_run() {
-        let n = 48;
-        let mut init = vec![false; n];
-        init[0] = true;
-        let batched = {
-            let mut r = OneWayRunner::builder(OneWayModel::I3, Epidemic)
-                .config(Configuration::new(init.clone()))
-                .adversary(RateStrategy::new(0.3))
-                .seed(42)
-                .build()
-                .unwrap();
-            r.run_batched(5_000, 512).unwrap();
-            (r.config().clone(), r.stats())
-        };
-        for shards in [1usize, 2, 8] {
-            let mut r = OneWayRunner::builder(OneWayModel::I3, Epidemic)
-                .config(Configuration::new(init.clone()))
-                .adversary(RateStrategy::new(0.3))
-                .seed(42)
-                .shards(shards)
-                .build()
-                .unwrap();
-            r.run_sharded(5_000, 512).unwrap();
-            assert_eq!(r.shards(), shards);
-            assert_eq!(
-                (r.config().clone(), r.stats()),
-                batched,
-                "shards = {shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharding_rejects_count_backend_at_build() {
-        let config = ppfts_population::CountConfiguration::from_groups([(true, 1), (false, 9)]);
-        let built = OneWayRunner::builder(OneWayModel::Io, Epidemic)
-            .population(config)
-            .shards(4)
-            .build();
-        assert!(matches!(
-            built.err(),
-            Some(EngineError::ShardIncompatible { .. })
-        ));
-    }
-
-    #[test]
-    fn sharding_rejects_shard_unsafe_programs_at_build() {
-        struct Logged(std::cell::Cell<u64>);
-        impl OneWayProgram for Logged {
-            type State = bool;
-            fn on_receive(&self, s: &bool, r: &bool) -> bool {
-                self.0.set(self.0.get() + 1);
-                *s || *r
-            }
-            fn shard_safe(&self) -> bool {
-                false
-            }
-        }
-        let built = OneWayRunner::builder(OneWayModel::Io, Logged(std::cell::Cell::new(0)))
-            .config(Configuration::new(vec![true, false]))
-            .shards(2)
-            .build();
-        assert!(matches!(
-            built.err(),
-            Some(EngineError::ShardIncompatible { .. })
-        ));
-        // shards(1) with the same program is fine — nothing to race.
-        assert!(
-            OneWayRunner::builder(OneWayModel::Io, Logged(std::cell::Cell::new(0)))
-                .config(Configuration::new(vec![true, false]))
-                .shards(1)
-                .build()
-                .is_ok()
-        );
-    }
-
-    #[test]
     fn batched_run_matches_scalar_run() {
         let scalar = {
             let mut r = OneWayRunner::builder(OneWayModel::I3, Epidemic)
@@ -1595,7 +1259,7 @@ mod tests {
                 .scheduler(TopologyScheduler::new(Topology::ring(5).unwrap()))
                 .adversary(ScriptedOmissions::new([3, 17, 90, 91]))
                 .seed(7)
-                .record_trace(true)
+                .trace_sink(FullTrace::new())
                 .build()
                 .unwrap()
         };
@@ -1634,7 +1298,7 @@ mod tests {
         let build = || {
             OneWayRunner::builder(OneWayModel::Io, Epidemic)
                 .config(Configuration::new(vec![true, false, false]))
-                .record_trace(true)
+                .trace_sink(FullTrace::new())
                 .seed(9)
                 .build()
                 .unwrap()
@@ -1758,7 +1422,7 @@ mod tests {
     fn planned_steps_execute_verbatim() {
         let mut runner = OneWayRunner::builder(OneWayModel::I3, Epidemic)
             .config(Configuration::new(vec![true, false, false]))
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .build()
             .unwrap();
         let plan = vec![
@@ -1943,7 +1607,7 @@ mod tests {
                 law: crate::InteractionLaw::IndexAddressed
             }
         ));
-        // The disabled-FullTrace default is passive and builds fine.
+        // The default `StatsOnly` sink is passive and builds fine.
         assert!(OneWayRunner::builder(OneWayModel::Io, Epidemic)
             .population(CountConfiguration::from_groups([(true, 1), (false, 3)]))
             .build()
@@ -2002,7 +1666,7 @@ mod tests {
         let mut traced = OneWayRunner::builder(OneWayModel::Io, Epidemic)
             .config(Configuration::new(vec![true, false, false, false]))
             .topology(Topology::ring(4).unwrap())
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .seed(5)
             .build()
             .unwrap();
@@ -2098,7 +1762,7 @@ mod tests {
     fn take_trace_leaves_tracing_enabled() {
         let mut runner = OneWayRunner::builder(OneWayModel::Io, Epidemic)
             .config(Configuration::new(vec![true, false]))
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .build()
             .unwrap();
         runner.run(3).unwrap();

@@ -5,15 +5,15 @@
 //! pays for cloning endpoint states into a [`StepRecord`], whether it
 //! wants the record at all:
 //!
-//! * [`FullTrace`] — records every step (the builder default, toggled by
-//!   `record_trace`); certification in `ppfts-core` (event extraction,
-//!   matching construction) requires it;
+//! * [`FullTrace`] — records every step; certification in `ppfts-core`
+//!   (event extraction, matching construction) requires it;
 //! * [`SampledTrace`] — records every k-th step plus every omissive or
 //!   state-changing step, bounding memory on long quiescent runs while
 //!   keeping everything forensically interesting;
 //! * [`StatsOnly`] — keeps nothing; the runner's [`RunStats`] counters
 //!   (which are maintained unconditionally) are the only output. This is
-//!   the zero-allocation path the experiment harnesses run on.
+//!   the builder default and the zero-allocation path the experiment
+//!   harnesses run on.
 //!
 //! [`RunStats`]: crate::RunStats
 
@@ -57,7 +57,8 @@ pub trait TraceSink<Q: State, F> {
 }
 
 /// Keeps no records at all: the zero-allocation sink for measurement
-/// runs, where the runner's [`RunStats`](crate::RunStats) suffice.
+/// runs, where the runner's [`RunStats`](crate::RunStats) suffice. The
+/// runner builders' default sink.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsOnly;
 
@@ -73,13 +74,10 @@ impl<Q: State, F> TraceSink<Q, F> for StatsOnly {
     fn accept(&mut self, _record: StepRecord<Q, F>) {}
 }
 
-/// Records every step — today's [`Trace`] behavior behind the sink
-/// interface. Builders default to a *disabled* `FullTrace` (equivalent to
-/// [`StatsOnly`], kept as the default so `record_trace(bool)` can toggle
-/// recording without changing the runner's type).
+/// Records every step into a [`Trace`]. Select it with the builder's
+/// `trace_sink(FullTrace::new())`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FullTrace<Q: State, F> {
-    enabled: bool,
     trace: Trace<Q, F>,
 }
 
@@ -87,38 +85,20 @@ impl<Q: State, F> FullTrace<Q, F> {
     /// A sink that records every step.
     pub fn new() -> Self {
         FullTrace {
-            enabled: true,
             trace: Trace::new(),
         }
-    }
-
-    /// A sink that records nothing (the builder default).
-    pub fn disabled() -> Self {
-        FullTrace {
-            enabled: false,
-            trace: Trace::new(),
-        }
-    }
-
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 }
 
 impl<Q: State, F> Default for FullTrace<Q, F> {
     fn default() -> Self {
-        FullTrace::disabled()
+        FullTrace::new()
     }
 }
 
 impl<Q: State, F> TraceSink<Q, F> for FullTrace<Q, F> {
     fn wants_record(&self, _index: u64, _omissive: bool, _changed: bool) -> bool {
-        self.enabled
-    }
-
-    fn is_passive(&self) -> bool {
-        !self.enabled
+        true
     }
 
     fn accept(&mut self, record: StepRecord<Q, F>) {
@@ -126,11 +106,11 @@ impl<Q: State, F> TraceSink<Q, F> for FullTrace<Q, F> {
     }
 
     fn trace(&self) -> Option<&Trace<Q, F>> {
-        self.enabled.then_some(&self.trace)
+        Some(&self.trace)
     }
 
     fn take_trace(&mut self) -> Option<Trace<Q, F>> {
-        self.enabled.then(|| std::mem::take(&mut self.trace))
+        Some(std::mem::take(&mut self.trace))
     }
 }
 
@@ -215,20 +195,14 @@ mod tests {
     }
 
     #[test]
-    fn full_trace_toggles_with_enabled() {
-        let mut on: FullTrace<u8, OneWayFault> = FullTrace::new();
-        assert!(on.wants_record(5, false, false));
-        assert!(!on.is_passive());
-        on.accept(rec(5, OneWayFault::None, false));
-        assert_eq!(on.trace().unwrap().len(), 1);
-        assert_eq!(on.take_trace().unwrap().len(), 1);
-        assert_eq!(on.trace().unwrap().len(), 0, "take leaves recording on");
-
-        let off: FullTrace<u8, OneWayFault> = FullTrace::default();
-        assert!(!off.is_enabled());
-        assert!(!off.wants_record(0, true, true));
-        assert!(off.is_passive());
-        assert!(off.trace().is_none());
+    fn full_trace_records_every_step() {
+        let mut sink: FullTrace<u8, OneWayFault> = FullTrace::new();
+        assert!(sink.wants_record(5, false, false));
+        assert!(!sink.is_passive());
+        sink.accept(rec(5, OneWayFault::None, false));
+        assert_eq!(sink.trace().unwrap().len(), 1);
+        assert_eq!(sink.take_trace().unwrap().len(), 1);
+        assert_eq!(sink.trace().unwrap().len(), 0, "take leaves recording on");
     }
 
     #[test]

@@ -255,7 +255,7 @@ type TargetBuilder = ppfts_engine::OneWayRunnerBuilder<
     Skno<Epidemic>,
     ppfts_engine::TopologyScheduler,
     ppfts_engine::NoOmissions,
-    FullTrace<SknoState<bool>, OneWayFault>,
+    StatsOnly,
     Configuration<SknoState<bool>>,
 >;
 

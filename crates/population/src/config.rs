@@ -123,17 +123,6 @@ impl<Q: State> DenseConfiguration<Q> {
         &self.states
     }
 
-    /// Mutable view of the underlying state vector.
-    ///
-    /// This is the state slab the sharded execution path partitions
-    /// across worker threads (each level of a [`crate::LevelPlan`]
-    /// touches pairwise-disjoint indices). Writing through it bypasses
-    /// no invariants — a dense configuration is exactly its state
-    /// vector — but note that the length (the population size) is fixed.
-    pub fn as_mut_slice(&mut self) -> &mut [Q] {
-        &mut self.states
-    }
-
     /// Iterates over `(AgentId, &state)` pairs in index order.
     pub fn iter(&self) -> impl Iterator<Item = (AgentId, &Q)> {
         self.states

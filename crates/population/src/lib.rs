@@ -69,7 +69,6 @@ mod multiset;
 mod population;
 mod protocol;
 mod semantics;
-mod shard;
 mod state;
 mod topology;
 
@@ -85,7 +84,6 @@ pub use protocol::{
     delta_closure, DeltaRule, FunctionProtocol, SymmetryReport, TableProtocol, TwoWayProtocol,
 };
 pub use semantics::{unanimous_output, unanimous_output_counts, ConsensusOutput, Semantics};
-pub use shard::LevelPlan;
 pub use state::{EnumerableStates, State};
 pub use topology::{
     SpectralProfile, Topology, TopologyClass, TopologyError, EXACT_CONDUCTANCE_LIMIT,

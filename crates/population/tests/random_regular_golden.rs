@@ -1,7 +1,7 @@
 //! Golden digests of `Topology::random_regular`.
 //!
-//! Every seeded experiment on a random regular graph (E12, E13, E16,
-//! E17, the sweep grid, the fuzzer's `rr4` topology and the repo
+//! Every seeded experiment on a random regular graph (E12, E13, E17,
+//! the sweep grid, the fuzzer's `rr4` topology and the repo
 //! benchmark) depends on the exact graph a `(n, d, seed)` triple
 //! produces. These digests pin that graph — each vertex's sorted
 //! neighbour list — and every error the constructor returns, so an
@@ -89,7 +89,7 @@ fn random_regular_graphs_and_errors_are_pinned() {
 
 #[test]
 fn e13_topologies_are_pinned() {
-    // The rr4 graphs (seed 12) under the committed E13/E16/E17 baselines.
+    // The rr4 graphs (seed 12) under the committed E13/E17 baselines.
     const GOLDEN: [(usize, u64); 2] = [(1024, 13308056080643205093), (4096, 10609540182728724545)];
     for (n, want) in GOLDEN {
         let mut h = Digest::new();

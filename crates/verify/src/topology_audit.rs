@@ -303,7 +303,7 @@ fn report_from_hits(hits: &[u64], draws: u64) -> CoverageReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppfts_engine::{OneWayModel, OneWayProgram, OneWayRunner, UniformScheduler};
+    use ppfts_engine::{FullTrace, OneWayModel, OneWayProgram, OneWayRunner, UniformScheduler};
     use ppfts_population::Configuration;
 
     struct Or;
@@ -350,7 +350,7 @@ mod tests {
                 true, false, false, false, false, false,
             ]))
             .topology(ring.clone())
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .seed(4)
             .build()
             .unwrap();
@@ -368,7 +368,7 @@ mod tests {
         let mut runner = OneWayRunner::builder(OneWayModel::Io, Or)
             .config(Configuration::new(vec![false; 8]))
             .scheduler(UniformScheduler::new())
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .seed(2)
             .build()
             .unwrap();
@@ -399,7 +399,7 @@ mod tests {
         )
         .config(Sid::<TableProtocol<char>>::initial(&sims))
         .topology(ring.clone())
-        .record_trace(true)
+        .trace_sink(FullTrace::new())
         .seed(9)
         .build()
         .unwrap();
@@ -423,7 +423,7 @@ mod tests {
             OneWayRunner::builder(OneWayModel::I3, Skno::graphical(Epidemic, 1, ring.clone()))
                 .config(Skno::<Epidemic>::initial(&sims))
                 .topology(ring.clone())
-                .record_trace(true)
+                .trace_sink(FullTrace::new())
                 .seed(4)
                 .build()
                 .unwrap();
@@ -494,7 +494,7 @@ mod tests {
             OneWayRunner::builder(OneWayModel::Io, Sid::graphical(pairing, ring.clone()))
                 .config(Sid::<TableProtocol<char>>::initial(&sims))
                 .topology(ring.clone())
-                .record_trace(true)
+                .trace_sink(FullTrace::new())
                 .build()
                 .unwrap();
         // `apply_planned` bypasses the scheduler: deal the chord (0, 3),

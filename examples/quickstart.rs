@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use ppfts::core::{build_matching, extract_events, project, Sid};
-use ppfts::engine::{OneWayModel, OneWayRunner, TwoWayModel, TwoWayRunner};
+use ppfts::engine::{FullTrace, OneWayModel, OneWayRunner, TwoWayModel, TwoWayRunner};
 use ppfts::population::{unanimous_output, Semantics};
 use ppfts::protocols::Epidemic;
 
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // handshake turns observations into simulated two-way exchanges.
     let mut simulated = OneWayRunner::builder(OneWayModel::Io, Sid::new(Epidemic))
         .config(Sid::<Epidemic>::initial(&inputs))
-        .record_trace(true)
+        .trace_sink(FullTrace::new())
         .seed(1)
         .build()?;
     let out = simulated.run_until(1_000_000, |c| {

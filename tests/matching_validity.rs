@@ -3,7 +3,7 @@
 use ppfts::core::{
     build_matching, extract_events, project, verify_derived_execution, NamedSid, Role, Sid, Skno,
 };
-use ppfts::engine::{BoundedStrategy, OneWayModel, OneWayRunner};
+use ppfts::engine::{BoundedStrategy, FullTrace, OneWayModel, OneWayRunner};
 use ppfts::protocols::{Epidemic, Pairing, PairingState};
 
 fn pairing_sims(c: usize, p: usize) -> Vec<PairingState> {
@@ -16,7 +16,7 @@ fn sid_matchings_are_exact_and_replayable() {
         let sims = pairing_sims(3, 3);
         let mut runner = OneWayRunner::builder(OneWayModel::Io, Sid::new(Pairing))
             .config(Sid::<Pairing>::initial(&sims))
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .seed(seed)
             .build()
             .unwrap();
@@ -44,7 +44,7 @@ fn skno_matchings_validate_at_the_multiset_level() {
         let mut runner = OneWayRunner::builder(OneWayModel::I3, Skno::new(Pairing, o))
             .config(Skno::<Pairing>::initial(&sims))
             .adversary(BoundedStrategy::new(0.03, o as u64))
-            .record_trace(true)
+            .trace_sink(FullTrace::new())
             .seed(seed)
             .build()
             .unwrap();
@@ -64,7 +64,7 @@ fn named_sid_matchings_are_exact_once_naming_settles() {
     let inputs = vec![true, false, false, false];
     let mut runner = OneWayRunner::builder(OneWayModel::Io, NamedSid::new(Epidemic, inputs.len()))
         .config(NamedSid::<Epidemic>::initial(&inputs))
-        .record_trace(true)
+        .trace_sink(FullTrace::new())
         .seed(3)
         .build()
         .unwrap();
@@ -84,7 +84,7 @@ fn event_streams_respect_commit_sequence_numbers() {
     let sims = pairing_sims(2, 2);
     let mut runner = OneWayRunner::builder(OneWayModel::Io, Sid::new(Pairing))
         .config(Sid::<Pairing>::initial(&sims))
-        .record_trace(true)
+        .trace_sink(FullTrace::new())
         .seed(5)
         .build()
         .unwrap();
@@ -108,7 +108,7 @@ fn unmatched_events_are_only_in_flight_halves() {
     let sims = pairing_sims(4, 4);
     let mut runner = OneWayRunner::builder(OneWayModel::Io, Sid::new(Pairing))
         .config(Sid::<Pairing>::initial(&sims))
-        .record_trace(true)
+        .trace_sink(FullTrace::new())
         .seed(11)
         .build()
         .unwrap();

@@ -8,8 +8,8 @@
 //! change:
 //!
 //! 1. **Bit-identity** — for any model, omission bound `o ∈ {0, 1, 2}`,
-//!    adversary, complete or restricted graph, and scalar / batched /
-//!    sharded execution, the shortcut simulator produces the same final
+//!    adversary, complete or restricted graph, and scalar or batched
+//!    execution, the shortcut simulator produces the same final
 //!    configuration, `RunStats`, step count, and recorded trace as the
 //!    scan-path simulator from the same seed. Edge-path cases extend
 //!    this to a multi-state protocol, naive joker bookkeeping, the
@@ -62,17 +62,17 @@ fn restricted_topology(n: usize, pick: u8, seed: u64) -> Topology {
     }
 }
 
-/// Finishes a built `SKnO` runner: executes `steps` per the `exec`
-/// pick, snapshots the phase-1 observables, then runs a scalar coda so
-/// the returned phase-2 configuration certifies the phase-1 RNG
-/// position.
+/// Finishes a built `SKnO` runner: executes `steps` scalar (`exec`
+/// 0) or batched (`exec` 1), snapshots the phase-1 observables, then
+/// runs a scalar coda so the returned phase-2 configuration certifies
+/// the phase-1 RNG position.
 macro_rules! drive_skno {
     ($builder:expr, $steps:expr, $exec:expr, $batch:expr) => {{
         let mut r = $builder.build().unwrap();
-        match $exec {
-            0 => r.run($steps).unwrap(),
-            1 => r.run_batched($steps, $batch).unwrap(),
-            _ => r.run_sharded($steps, $batch).unwrap(),
+        if $exec == 0 {
+            r.run($steps).unwrap();
+        } else {
+            r.run_batched($steps, $batch).unwrap();
         }
         let phase1 = (r.config().clone(), r.stats(), r.steps(), r.take_trace());
         r.run(67).unwrap();
@@ -114,23 +114,16 @@ macro_rules! drive_skno_with_adversary {
 
 /// Drives one seeded configuration through the shortcut simulator
 /// `$skno` and through its scan reference, and asserts the two runs
-/// bit-identical: configurations, stats, steps, traces and RNG position.
+/// bit-identical: configurations, stats, steps, full traces (so a
+/// divergence points at its step) and RNG position.
 macro_rules! assert_shortcut_equals_scan {
     ($skno:expr, $config:expr, $model:expr, $topology:expr, $seed:expr,
      $adv:expr, $rate:expr, $o:expr, $at:expr, $steps:expr, $exec:expr, $batch:expr) => {{
-        let shards = if $exec == 2 { 3 } else { 1 };
         let observe = |skno| {
-            // Sharded runs need a passive sink.
-            let sink = if $exec == 2 {
-                FullTrace::disabled()
-            } else {
-                FullTrace::new()
-            };
             let builder = OneWayRunner::builder($model, skno)
                 .config($config)
-                .shards(shards)
                 .seed($seed)
-                .trace_sink(sink);
+                .trace_sink(FullTrace::new());
             match &$topology {
                 Some(t) => drive_skno_with_adversary!(
                     builder.topology(t.clone()),
@@ -174,13 +167,13 @@ fn pick_topology(n: usize, graphical: u8, gseed: u64) -> Option<Topology> {
 }
 
 proptest! {
-    /// The tentpole contract: indexed `SKnO` ≡ scan-path `SKnO`
+    /// The core contract: indexed `SKnO` ≡ scan-path `SKnO`
     /// bit-for-bit — configurations, stats, steps, traces, and RNG
     /// position — across models, omission bounds, adversaries,
-    /// anonymous/graphical instances, and scalar/batched/sharded
-    /// execution. The adversary sweep covers both RNG-drawing and
-    /// deterministic deciders, so batched runs exercise the interleaved
-    /// *and* the bulk pair-drawing paths.
+    /// anonymous/graphical instances, and scalar/batched execution. The
+    /// adversary sweep covers both RNG-drawing and deterministic
+    /// deciders, so batched runs exercise the interleaved *and* the bulk
+    /// pair-drawing paths.
     #[test]
     fn indexed_skno_equals_scan_reference_bitwise(
         model in one_way_model_strategy(),
@@ -193,52 +186,20 @@ proptest! {
         at in 0u64..400,
         seed in 0u64..10_000,
         steps in 0u64..400,
-        exec in 0u8..3,
+        exec in 0u8..2,
         batch in 1u64..200,
     ) {
-        // graphical: 0-1 anonymous, 2 complete graph, 3-4 restricted.
-        let topology = match graphical {
-            0 | 1 => None,
-            2 => Some(Topology::complete(n).unwrap()),
-            g => Some(restricted_topology(n, g, gseed)),
-        };
+        let topology = pick_topology(n, graphical, gseed);
         let n = topology.as_ref().map_or(n, Topology::len);
         let sims: Vec<bool> = (0..n).map(|i| i == 0).collect();
-        // Sharded runs need a passive sink and worker threads; the
-        // others record full traces so divergence points at the draw.
-        let shards = if exec == 2 { 3 } else { 1 };
-        let record = exec != 2;
-        macro_rules! make {
-            ($indexed:expr) => {{
-                let skno = match &topology {
-                    Some(t) => Skno::graphical(Epidemic, o, t.clone()),
-                    None => Skno::new(Epidemic, o),
-                };
-                let skno = if $indexed { skno } else { skno.scan_reference() };
-                let sink = if record { FullTrace::new() } else { FullTrace::disabled() };
-                let builder = OneWayRunner::builder(model, skno)
-                    .config(Skno::<Epidemic>::initial(&sims))
-                    .shards(shards)
-                    .seed(seed)
-                    .trace_sink(sink);
-                match &topology {
-                    Some(t) => drive_skno_with_adversary!(
-                        builder.topology(t.clone()), adv, rate, o, at, steps, exec, batch
-                    ),
-                    None => drive_skno_with_adversary!(
-                        builder, adv, rate, o, at, steps, exec, batch
-                    ),
-                }
-            }};
-        }
-        let indexed = make!(true);
-        let scan = make!(false);
-        prop_assert_eq!(indexed.0.as_slice(), scan.0.as_slice(), "final configuration");
-        prop_assert_eq!(indexed.1, scan.1, "RunStats");
-        prop_assert_eq!(indexed.2, scan.2, "step count");
-        prop_assert_eq!(indexed.3, scan.3, "traces");
-        prop_assert_eq!(indexed.4.as_slice(), scan.4.as_slice(),
-            "post-phase configurations diverged: phase 1 left different RNG positions");
+        let skno = match &topology {
+            Some(t) => Skno::graphical(Epidemic, o, t.clone()),
+            None => Skno::new(Epidemic, o),
+        };
+        assert_shortcut_equals_scan!(
+            skno, Skno::<Epidemic>::initial(&sims), model, topology, seed,
+            adv, rate, o, at, steps, exec, batch
+        );
     }
 
     /// `SID` complete-graph graphical ≡ anonymous, bit-for-bit with
@@ -369,7 +330,7 @@ proptest! {
         at in 0u64..400,
         seed in 0u64..10_000,
         steps in 0u64..400,
-        exec in 0u8..3,
+        exec in 0u8..2,
         batch in 1u64..200,
     ) {
         let topology = pick_topology(n, graphical, gseed);
@@ -397,7 +358,7 @@ proptest! {
         at in 0u64..400,
         seed in 0u64..10_000,
         steps in 0u64..400,
-        exec in 0u8..3,
+        exec in 0u8..2,
         batch in 1u64..200,
     ) {
         let sims: Vec<bool> = (0..n).map(|i| i == 0).collect();
@@ -424,7 +385,7 @@ proptest! {
         at in 0u64..400,
         seed in 0u64..10_000,
         steps in 0u64..400,
-        exec in 0u8..3,
+        exec in 0u8..2,
         batch in 1u64..200,
     ) {
         let topology = restricted_topology(n, pick, gseed);
@@ -451,7 +412,7 @@ proptest! {
         rate in 30u32..=90,
         seed in 0u64..10_000,
         steps in 0u64..1_000,
-        exec in 0u8..3,
+        exec in 0u8..2,
         batch in 1u64..200,
     ) {
         let topology = pick_topology(n, graphical, gseed);
